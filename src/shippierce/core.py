@@ -121,6 +121,15 @@ def scale(f: Family, d: int) -> Family:
     return Family(tuple(Ship(tuple(a * d for a in s.offsets)) for s in f.ships))
 
 
+def offset_gcd(ships) -> int:
+    """gcd of all offsets of all ships; 0 when every ship is a single cell."""
+    d = 0
+    for ship in ships:
+        for a in ship.offsets:
+            d = math.gcd(d, a)
+    return d
+
+
 def scale_reduce(f: Family) -> tuple[Family, int]:
     """Divide out the family-wide gcd of all nonzero offsets.
 
@@ -128,10 +137,7 @@ def scale_reduce(f: Family) -> tuple[Family, int]:
     already primitive, or consists only of single-cell ships).  The
     minimum piercing density is invariant under this reduction.
     """
-    d = 0
-    for ship in f.ships:
-        for a in ship.offsets:
-            d = math.gcd(d, a)
+    d = offset_gcd(f.ships)
     if d <= 1:
         return f, 1
     reduced = Family(tuple(Ship(tuple(a // d for a in s.offsets)) for s in f.ships))
@@ -252,20 +258,23 @@ def parse_family_file(path) -> Family:
         raise ParseError(str(exc)) from exc
 
 
-def format_family(f: Family) -> str:
-    return str(f)
-
-
 _POINT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+
+
+def parse_cells_2d(text: str) -> list[tuple[int, int]] | None:
+    """The "(x,y)" cells of comma-separated text; None if anything else is left."""
+    leftover = _POINT_RE.sub("", text).replace(",", "").strip()
+    if leftover:
+        return None
+    return [(int(x), int(y)) for x, y in _POINT_RE.findall(text)]
 
 
 def parse_family_2d(text: str) -> Family2D:
     """Parse "(0,0),(1,0),(0,1);(0,0),(1,1)"-style 2D family text."""
     ships = []
     for chunk in text.split(";"):
-        pts = [(int(x), int(y)) for x, y in _POINT_RE.findall(chunk)]
-        leftover = _POINT_RE.sub("", chunk).replace(",", "").strip()
-        if not pts or leftover:
+        pts = parse_cells_2d(chunk)
+        if not pts:
             raise ParseError(f"bad 2D ship spec {chunk!r}")
         try:
             ships.append(normalize_ship_2d(pts))
@@ -275,7 +284,3 @@ def parse_family_2d(text: str) -> Family2D:
         return Family2D(tuple(ships))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def format_family_2d(f: Family2D) -> str:
-    return str(f)

@@ -22,7 +22,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
-from .core import Family, Ship, format_density, parse_family, reflect
+from .core import Family, Ship, format_density, offset_gcd, parse_family, reflect
 from .solver import DEFAULT_SPAN_CAP, exact_density
 
 
@@ -36,14 +36,6 @@ def ships_with_span(k: int, span_budget: int) -> list[Ship]:
         Ship((0,) + rest)
         for rest in combinations(range(1, span_budget), k - 1)
     ]
-
-
-def _family_gcd(ships: tuple[Ship, ...]) -> int:
-    d = 0
-    for ship in ships:
-        for a in ship.offsets:
-            d = math.gcd(d, a)
-    return d if d > 0 else 1
 
 
 def raw_family_count(n: int, k: int, span_budget: int) -> int:
@@ -61,7 +53,7 @@ def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
         raise ValueError("need n >= 1, k >= 1, span_budget >= k")
     ships = ships_with_span(k, span_budget)
     for combo in combinations(ships, n):
-        if _family_gcd(combo) != 1:
+        if offset_gcd(combo) > 1:
             continue
         family = Family(combo)
         if reflect(family) < family:

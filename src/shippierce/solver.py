@@ -4,24 +4,26 @@ The computation runs on the graph of valid length-s windows, where s is
 the span of the (scale-reduced) family.  A window is an s-bit word,
 most significant bit oldest, that hits every ship translate lying fully
 inside it.  Sliding one cell to the right drops the oldest bit and
-appends a fresh one, so every node has at most two successors and the
+appends a fresh one, so every node has at most two out-edges and the
 appended bit is the edge weight.  Bi-infinite piercing patterns are
 exactly the bi-infinite walks through valid windows, so the minimum
 density equals the minimum mean weight over directed cycles.
 
-The minimum mean is found with Karp's length-indexed dynamic program
-(integer arithmetic only, run twice to keep memory linear in the node
-count), and an optimal cycle is then extracted from the subgraph of
-edges that are tight for the shortest-walk potentials under weights
-reweighted by the optimum.  Ties are broken deterministically: shortest
-cycle first, then the lexicographically smallest node sequence.  The
-pattern read off the cycle is re-checked against the input family
-before it is returned.
+The minimum mean is found by parametric Bellman-Ford: Lawler's search
+over the mean, with the parent-pointer negative-cycle test of
+Cherkassky and Goldberg (see min_mean_cycle).  Its final node
+potentials certify the lower bound: no edge has a negative reduced
+cost, so no cycle has a lower mean, and this is checked on every
+solve.  Optimal cycles are then exactly the cycles of tight (zero
+reduced cost) edges, and one is extracted from them.  Ties are broken
+deterministically: shortest cycle first, then the lexicographically
+smallest node sequence.  The pattern read off the cycle is re-checked
+against the input family before it is returned, which certifies the
+upper bound.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,26 +57,28 @@ class MemoryGuardError(RuntimeError):
     """Estimated working-set size exceeds the memory guard."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowGraph:
     """Directed graph of valid s-bit windows.
 
-    Nodes are sorted integer-encoded windows (MSB = oldest cell, so
-    integer order is lexicographic order on the 01-strings).  Edges go
-    from w to ((w << 1) & mask) | b for b in {0, 1} whenever the target
-    is also a node; the weight of an edge is the appended bit b.
+    Nodes are a sorted int64 array of window words (MSB = oldest cell,
+    so integer order is lexicographic order on the 01-strings).  Edges
+    go from w to ((w << 1) & mask) | b for b in {0, 1} whenever the
+    target is also a node; the weight of an edge is the appended bit b.
     """
 
     s: int
-    nodes: tuple[int, ...]
+    nodes: np.ndarray
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("window length must be positive")
-        if tuple(sorted(set(self.nodes))) != self.nodes:
+        nodes = np.asarray(self.nodes, dtype=np.int64)
+        if nodes.ndim != 1 or (nodes[1:] <= nodes[:-1]).any():
             raise ValueError("nodes must be sorted and duplicate-free")
-        if self.nodes and not (0 <= self.nodes[0] and self.nodes[-1] < (1 << self.s)):
+        if len(nodes) and not (0 <= nodes[0] and nodes[-1] < (1 << self.s)):
             raise ValueError("node words must fit in s bits")
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def from_family(cls, family: Family) -> "WindowGraph":
@@ -95,17 +99,19 @@ class WindowGraph:
         ok = np.ones(1 << s, dtype=bool)
         for m in masks:
             ok &= (words & m) != 0
-        return cls(s, tuple(int(w) for w in words[ok]))
+        return cls(s, words[ok])
 
-    def successors(self, word: int) -> list[tuple[int, int]]:
-        """(target, weight) pairs, ascending by target."""
-        full = (1 << self.s) - 1
-        out = []
-        base = (word << 1) & full
-        for b in (0, 1):
-            if _contains(self.nodes, base | b):
-                out.append((base | b, b))
-        return out
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Predecessor indices of every node, shape (2, n), and a found mask.
+
+        Row b holds the index of the word with oldest bit b followed by
+        the node's older s - 1 bits; the mask is False where that word
+        is not a node.
+        """
+        words = self.nodes
+        wanted = np.stack([words >> 1, (words >> 1) | (1 << (self.s - 1))])
+        idx = np.minimum(np.searchsorted(words, wanted), len(words) - 1)
+        return idx, words[idx] == wanted
 
 
 def translate_masks(family: Family, s: int) -> list[int]:
@@ -123,11 +129,6 @@ def translate_masks(family: Family, s: int) -> list[int]:
     return masks
 
 
-def _contains(sorted_tuple: tuple[int, ...], x: int) -> bool:
-    i = bisect.bisect_left(sorted_tuple, x)
-    return i < len(sorted_tuple) and sorted_tuple[i] == x
-
-
 @dataclass(frozen=True)
 class SolveResult:
     density: Fraction
@@ -138,151 +139,147 @@ class SolveResult:
     scale: int
 
 
-def _lookup(words: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of queries in the sorted word array, plus a found mask."""
-    idx = np.searchsorted(words, queries)
-    idx = np.minimum(idx, len(words) - 1)
-    found = words[idx] == queries
-    return idx, found
-
-
 def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     """Exact minimum cycle mean and one witness cycle.
 
-    The witness is the shortest optimal cycle; among equally short ones,
-    the one whose node sequence (rotated to start at its smallest node)
-    is lexicographically smallest.
+    Starts from the bound lambda = p/q = 1, the mean of the all-ones
+    window's self-loop, and sweeps all nodes at once on the integer edge
+    weights q*w - p from zero potentials; a node's potential and parent
+    pointer change only on a strict decrease.  When the parent pointers
+    close a cycle, lambda drops to that cycle's mean and the sweeps
+    restart from zero potentials.  The first sweep that changes no
+    potential ends the search, and it always comes:
 
-    Raises ValueError if the graph has no cycle.
+    * every cycle among the parent pointers has negative weight, that
+      is a mean below lambda, so lambda strictly decreases;
+    * lambda therefore runs through the finite set of cycle means;
+    * while the parent pointers are acyclic, each potential is at least
+      the weight of a simple parent path from a node still at potential
+      0, so potentials are bounded below.  They are integers and every
+      sweep lowers one, so each lambda round ends.
+
+    The witness is the shortest optimal cycle; among equally short
+    ones, the one whose node sequence (rotated to start at its smallest
+    node) is lexicographically smallest.
+
+    Raises ValueError if the graph has no cycle, and AssertionError if
+    the final potentials fail to certify the mean.
     """
-    words = np.asarray(graph.nodes, dtype=np.int64)
+    words = graph.nodes
     n = len(words)
     if n == 0:
         raise ValueError("graph has no nodes")
-    s = graph.s
-
+    pred, found = graph.predecessors()
     # All edges into a node carry the same weight: the node's newest bit.
-    w_in = (words & 1).astype(np.int64)
-    hi_idx, hi_ok = _lookup(words, (words >> 1) | (1 << (s - 1)))
-    lo_idx, lo_ok = _lookup(words, words >> 1)
+    w_in = words & 1
 
-    def step(dist: np.ndarray) -> np.ndarray:
-        """One round of the exactly-k-edge walk recurrence."""
-        best = np.minimum(
-            np.where(hi_ok, dist[hi_idx], _INF),
-            np.where(lo_ok, dist[lo_idx], _INF),
-        )
-        return np.minimum(best + w_in, _INF)
+    p, q = 1, 1
+    d = np.zeros(n, dtype=np.int64)
+    parent = np.full(n, -1)
+    while True:
+        via0, via1 = np.where(found, d[pred] + (q * w_in - p), _INF)
+        best = np.minimum(via0, via1)
+        improved = best < d
+        if not improved.any():
+            break
+        d = np.where(improved, best, d)
+        parent = np.where(improved, np.where(via1 < via0, pred[1], pred[0]), parent)
+        cycle = _parent_cycle(parent)
+        if cycle is not None:
+            mean = Fraction(int(w_in[cycle].sum()), len(cycle))
+            assert mean < Fraction(p, q), "parent cycle is not negative"
+            p, q = mean.numerator, mean.denominator
+            d[:] = 0
+            parent[:] = -1
 
-    # Pass 1: minimum weight of an exactly-n-edge walk ending at v,
-    # starting anywhere (virtual zero-weight source).
-    dist = np.zeros(n, dtype=np.int64)
-    for _ in range(n):
-        dist = step(dist)
-    dist_n = dist
-
-    # Pass 2: Karp's formula.  For each v, max over 0 <= k < n of
-    # (dist_n[v] - dist_k[v]) / (n - k), maintained with exact integer
-    # cross-multiplication; then the minimum over v of those maxima.
-    has_cycle = dist_n < _INF
-    if not has_cycle.any():
-        raise ValueError("graph has no cycle")
-    best_num = np.where(has_cycle, dist_n, _INF)  # k = 0, dist_0 = 0
-    best_den = np.full(n, n, dtype=np.int64)
-    dist = np.zeros(n, dtype=np.int64)
-    for k in range(1, n):
-        dist = step(dist)
-        finite = has_cycle & (dist < _INF)
-        num = dist_n - np.where(finite, dist, 0)
-        den = n - k
-        better = finite & (num * best_den > best_num * den)
-        best_num = np.where(better, num, best_num)
-        best_den = np.where(better, den, best_den)
-
-    lam_n = lam_d = None
-    for v in np.flatnonzero(has_cycle):
-        p, q = int(best_num[v]), int(best_den[v])
-        if lam_n is None or p * lam_d < lam_n * q:
-            lam_n, lam_d = p, q
-    mean = Fraction(lam_n, lam_d)
-
-    cycle = _extract_cycle(graph, words, hi_idx, hi_ok, lo_idx, lo_ok, w_in, mean)
-    return mean, cycle
+    # Lower-bound certificate: no edge has a negative reduced cost.
+    reduced = d[pred] + (q * w_in - p) - d
+    if (found & (reduced < 0)).any():
+        raise AssertionError("potentials do not certify the minimum cycle mean")
+    cycle = _extract_cycle(words, pred, found & (reduced == 0))
+    assert q * sum(w & 1 for w in cycle) == p * len(cycle)
+    return Fraction(p, q), cycle
 
 
-def _extract_cycle(graph, words, hi_idx, hi_ok, lo_idx, lo_ok, w_in, mean):
-    """Deterministic optimal cycle via the tight subgraph.
+def _parent_cycle(parent: np.ndarray) -> list[int] | None:
+    """Node indices of one cycle of parent pointers, if there is one.
 
-    Reweight each edge into v by q*w(v) - p where mean = p/q.  No cycle
-    is negative, optimal cycles have weight 0, and shortest-walk
-    potentials make exactly the edges of optimal cycles tight.  Inside
-    the tight subgraph, any closed walk whose length equals the minimum
-    cycle length is automatically a simple optimal cycle, which reduces
-    the tie-break to breadth-first searches plus one greedy descent.
+    Pointer doubling sends every node at least n steps up its parent
+    chain (nodes without a parent point at a sentinel that points at
+    itself), which lands exactly on the nodes of parent cycles.
+    """
+    n = len(parent)
+    jump = np.append(np.where(parent >= 0, parent, n), n)
+    for _ in range(n.bit_length()):
+        jump = jump[jump]
+    on_cycle = np.flatnonzero(jump[:n] < n)
+    if not len(on_cycle):
+        return None
+    cycle = [int(jump[on_cycle[0]])]
+    while (u := int(parent[cycle[-1]])) != cycle[0]:
+        cycle.append(u)
+    return cycle
+
+
+def _extract_cycle(words, pred, tight) -> list[int]:
+    """Deterministic optimal cycle among the tight edges.
+
+    tight masks the edges pred[b, v] -> v of zero reduced cost.  Every
+    cycle of tight edges is optimal and every optimal cycle is tight.
+    Nodes without a tight edge both in and out lie on no such cycle and
+    are trimmed until none is left.  Inside the tight subgraph, any
+    closed walk whose length equals the minimum cycle length is
+    automatically a simple optimal cycle, which reduces the tie-break
+    to breadth-first searches plus one greedy descent.
     """
     n = len(words)
-    p, q = mean.numerator, mean.denominator
-    wprime = q * w_in - p
-
-    # Shortest-walk potentials: d[v] = min reweighted walk ending at v.
-    d = np.zeros(n, dtype=np.int64)
-    for _ in range(n):
-        better = np.minimum(
-            np.where(hi_ok, d[hi_idx], _INF),
-            np.where(lo_ok, d[lo_idx], _INF),
-        ) + wprime
-        new = np.minimum(d, better)
-        if np.array_equal(new, d):
+    alive = np.ones(n, dtype=bool)
+    while True:
+        edge = tight & alive & alive[pred]
+        keep = edge.any(axis=0) & (np.bincount(pred[edge], minlength=n) > 0)
+        if np.array_equal(keep, alive):
             break
-        d = new
+        alive = keep
+    if not alive.any():
+        raise ValueError("graph has no cycle")
 
-    # Tight successor lists (ascending by target, hence lexicographic).
-    full = (1 << graph.s) - 1
-    index_of = {int(w): i for i, w in enumerate(words)}
-    tight: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        base = (int(words[u]) << 1) & full
-        for b in (0, 1):
-            v = index_of.get(base | b)
-            if v is not None and d[u] + wprime[v] == d[v]:
-                tight[u].append(v)
+    # Tight successor lists, ascending by target (hence lexicographic):
+    # both out-edges of a node sit in the row of its oldest bit, and
+    # nonzero() walks each row by ascending target.
+    tight_succ: dict[int, list[int]] = {v: [] for v in np.flatnonzero(alive).tolist()}
+    rows, targets = np.nonzero(edge)
+    for u, v in zip(pred[rows, targets].tolist(), targets.tolist()):
+        tight_succ[u].append(v)
 
     # Smallest node carrying a shortest tight closed walk.
     best_len = None
     start = None
-    for v in range(n):
-        if not tight[v]:
-            continue
+    for v in tight_succ:
         cap = best_len if best_len is not None else n + 1
-        length = _closed_walk_length(tight, v, cap)
+        length = _closed_walk_length(tight_succ, v, cap)
         if length is not None and (best_len is None or length < best_len):
             best_len = length
             start = v
-    if best_len is None:
-        raise ValueError("tight subgraph has no cycle")  # cannot happen
 
     # Exact-length feasibility, then greedy lexicographic descent.
     feasible = [set() for _ in range(best_len + 1)]
     feasible[0] = {start}
     for r in range(1, best_len + 1):
         prev = feasible[r - 1]
-        feasible[r] = {u for u in range(n) if any(v in prev for v in tight[u])}
+        feasible[r] = {u for u, out in tight_succ.items() if any(v in prev for v in out)}
 
     cycle_idx = [start]
     u = start
     for step_no in range(best_len - 1):
         remaining = best_len - step_no - 1
-        u = next(v for v in tight[u] if v in feasible[remaining])
+        u = next(v for v in tight_succ[u] if v in feasible[remaining])
         cycle_idx.append(u)
-    assert start in tight[cycle_idx[-1]]
+    assert start in tight_succ[cycle_idx[-1]]
     assert len(set(cycle_idx)) == len(cycle_idx)
-
-    cycle = [int(words[i]) for i in cycle_idx]
-    assert q * sum(w & 1 for w in cycle) == p * len(cycle)
-    return cycle
+    return [int(words[i]) for i in cycle_idx]
 
 
-def _closed_walk_length(tight: list[list[int]], v: int, cap: int) -> int | None:
+def _closed_walk_length(tight: dict[int, list[int]], v: int, cap: int) -> int | None:
     """Length of the shortest tight closed walk through v, if < cap."""
     seen = {u: 1 for u in tight[v]}
     if v in seen:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Family, Family2D, ParseError
+from .core import Family, Family2D, ParseError, parse_cells_2d
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,6 @@ def parse_pattern_1d(text: str) -> Pattern1D:
 
 
 def parse_pattern_2d(text: str) -> Pattern2D:
-    from .core import _POINT_RE
-
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError(f"pattern {text!r} needs a ':' separator")
@@ -150,15 +148,10 @@ def parse_pattern_2d(text: str) -> Pattern2D:
         periods = (int(p_str), int(q_str))
     except ValueError as exc:
         raise ParseError(f"bad 2D periods in {text!r}") from exc
-    cells = [(int(a), int(b)) for a, b in _POINT_RE.findall(tail)]
-    leftover = _POINT_RE.sub("", tail).replace(",", "").strip()
-    if leftover:
+    cells = parse_cells_2d(tail)
+    if cells is None:
         raise ParseError(f"bad 2D pattern residues in {text!r}")
     try:
         return Pattern2D(periods, cells)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def format_pattern(x: Pattern1D | Pattern2D) -> str:
-    return str(x)

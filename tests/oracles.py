@@ -1,7 +1,7 @@
 """Independent oracles used to cross-check the solver.
 
 Two routes to the minimum cycle mean of a window graph, both separate
-from the solver's Karp dynamic program:
+from the solver's parametric Bellman-Ford search:
 
 * enumeration of every simple cycle (Johnson's DFS via networkx),
   feasible whenever the graph is small or heavily constrained;

@@ -5,7 +5,6 @@ from shippierce.core import (
     Family,
     ParseError,
     Ship,
-    format_family,
     make_family,
     normalize_ship,
     parse_family,
@@ -90,8 +89,8 @@ def test_ship_invariants_enforced():
 
 def test_parse_family_roundtrip():
     f = parse_family(" 0 , 1 ; 0,2,4 ")
-    assert format_family(f) == "0,1;0,2,4"
-    assert parse_family(format_family(f)) == f
+    assert str(f) == "0,1;0,2,4"
+    assert parse_family(str(f)) == f
 
 
 def test_parse_family_normalizes_arbitrary_integers():

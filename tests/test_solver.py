@@ -15,6 +15,7 @@ from shippierce.verifier import pattern_density, verify_pattern_1d
 
 from oracles import (
     brute_force_cycles_tiny,
+    graph_edges,
     min_mean_by_closed_walks,
     min_mean_by_cycle_enumeration,
 )
@@ -43,10 +44,11 @@ def test_size_one_fast_path():
 def test_window_graph_nodes():
     g = WindowGraph.from_family(parse_family("0,1"))
     assert g.s == 2
-    assert g.nodes == (1, 2, 3)  # 01, 10, 11; never 00
-    assert (1 << g.s) - 1 in g.nodes  # all-ones is always valid
-    assert g.successors(2) == [(1, 1)]
-    assert g.successors(3) == [(2, 0), (3, 1)]
+    assert g.nodes.tolist() == [1, 2, 3]  # 01, 10, 11; never 00
+    assert (1 << g.s) - 1 in g.nodes.tolist()  # all-ones is always valid
+    edges = sorted(graph_edges(g))
+    assert [(v, b) for u, v, b in edges if u == 2] == [(1, 1)]
+    assert [(v, b) for u, v, b in edges if u == 3] == [(2, 0), (3, 1)]
 
 
 def test_translate_masks_cover_every_fit():
@@ -138,10 +140,21 @@ def test_span_cap_refusal_reports_required_span():
 
 
 def test_pattern_certified_and_density_exact():
-    for text in ["0,1,3", "0,2;0,3", "0,1;0,2,4", "0,2,5;0,3,5"]:
+    expected = {
+        "0,1,3": "5:0,4",
+        "0,2;0,3": "5:0,3,4",
+        "0,1;0,2,4": "5:1,3,4",
+        "0,2,5;0,3,5": "8:0,1,7",
+        "0,2,4": "6:4,5",
+        "0,1,4;0,2,4": "7:0,1,6",
+        "0,3;0,1,2": "2:1",
+        "0,1,2,5;0,3,4": "5:1,3",
+    }
+    for text, pattern in expected.items():
         r = exact_density(parse_family(text))
         assert verify_pattern_1d(r.pattern, parse_family(text)) is None
         assert pattern_density(r.pattern) == r.density
+        assert str(r.pattern) == pattern, text
 
 
 @given(small_families)
