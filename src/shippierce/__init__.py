@@ -26,7 +26,6 @@ from .core import (
     reflect_2d,
     scale,
     scale_reduce,
-    span,
 )
 from .solver import (
     DEFAULT_SPAN_CAP,
@@ -42,7 +41,6 @@ from .verifier import (
     Pattern2D,
     parse_pattern_1d,
     parse_pattern_2d,
-    pattern_density,
     pierces,
     pierces_2d,
     scale_pattern,

@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-span", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="results file (resumable)")
-    p.add_argument("--checkpoint-every", type=int, default=500)
+    p.add_argument("--checkpoint-every", type=int, default=500, help="flush --out every N new lines")
     add_span_cap(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)

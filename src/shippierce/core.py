@@ -104,11 +104,6 @@ def make_family(raw_ships) -> Family:
     return Family(tuple(normalize_ship(s) for s in raw_ships))
 
 
-def span(x: Ship | Family) -> int:
-    """Extent of a ship (last offset + 1), or the max over a family."""
-    return x.span
-
-
 def reflect(f: Family) -> Family:
     """Mirror every ship and re-canonicalize the family."""
     return Family(tuple(s.reflect() for s in f.ships))

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Family, scale_reduce, span
+from .core import Family, scale_reduce
 from .verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 DEFAULT_SPAN_CAP = 22
@@ -82,12 +82,12 @@ class WindowGraph:
 
     @classmethod
     def from_family(cls, family: Family) -> "WindowGraph":
-        """Enumerate all valid windows of length span(family).
+        """Enumerate all valid windows of length family.span.
 
         Validity is checked against one bitmask per (ship, translate)
         pair: a window w is valid iff w AND mask != 0 for every mask.
         """
-        s = span(family)
+        s = family.span
         estimate = (1 << s) * 9  # int64 word array + bool validity array
         if estimate > MEMORY_GUARD_BYTES:
             raise MemoryGuardError(
@@ -312,7 +312,7 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
         return SolveResult(Fraction(1), Pattern1D(1, {0}), 1, 1, 1, 1)
 
     reduced, d = scale_reduce(f)
-    s = span(reduced)
+    s = reduced.span
     if s > span_cap:
         raise SpanCapError(s, span_cap)
 

@@ -68,11 +68,6 @@ class Pattern2D:
         return f"{p},{q}:{cells}"
 
 
-def pattern_density(x: Pattern1D | Pattern2D) -> Fraction:
-    """Shot fraction per fundamental domain, in lowest terms."""
-    return x.density
-
-
 def verify_pattern_1d(x: Pattern1D, f: Family) -> tuple[int, int] | None:
     """None if the pattern pierces every translate of every ship of f.
 

@@ -24,7 +24,7 @@ from shippierce.constructions import (
 from shippierce.core import Family, Ship, make_family, parse_family, reflect, scale, scale_reduce
 from shippierce.search import check_mirror_triples, compute_extremes
 from shippierce.solver import WindowGraph, exact_density, min_mean_cycle
-from shippierce.verifier import pattern_density, pierces, pierces_2d, verify_pattern_2d
+from shippierce.verifier import pierces, pierces_2d, verify_pattern_2d
 
 from oracles import min_mean_by_closed_walks, min_mean_by_cycle_enumeration
 
@@ -192,7 +192,7 @@ def test_08_slab_construction_everywhere():
                 continue
             pattern, density = slab_pattern(a, b)
             assert density == Fraction(a + 1, 3 * a)
-            assert pattern_density(pattern) == density
+            assert pattern.density == density
             assert pierces(pattern, slab_family(a, b)), (a, b)
             if a >= 6:
                 assert density < Fraction(2, 5)
@@ -206,8 +206,8 @@ def test_09_planar_verifier_fixtures():
     rows = reference_pattern("even-rows")
     f180 = reference_family_2d("l180")
     f90 = reference_family_2d("l90")
-    assert pierces_2d(diag3, f180) and pattern_density(diag3) == Fraction(1, 3)
-    assert pierces_2d(rows, f90) and pattern_density(rows) == Fraction(1, 2)
+    assert pierces_2d(diag3, f180) and diag3.density == Fraction(1, 3)
+    assert pierces_2d(rows, f90) and rows.density == Fraction(1, 2)
     witness = verify_pattern_2d(diag3, f90)
     assert witness == (1, (0, 2))  # frozen first miss
     ok(f"[9] diag3 pierces the 180-pair, even-rows pierces the 90-pair, "

@@ -107,6 +107,15 @@ def test_search_command(capsys, tmp_path):
     assert payload["max"] == "2/3" and payload["max_witness"] == "0,1;0,2"
 
 
+def test_search_refuses_checkpoint_every_below_one(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "search", "--n", "2", "--k", "2", "--max-span", "6",
+        "--out", str(tmp_path / "res.txt"), "--checkpoint-every", "0",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "checkpoint_every" in err
+
+
 def test_mirror_triples_command(capsys):
     code, out, _ = run(capsys, "mirror-triples")
     assert code == 0

@@ -15,7 +15,6 @@ from shippierce.constructions import (
 )
 from shippierce.core import make_family
 from shippierce.verifier import (
-    pattern_density,
     pierces,
     pierces_2d,
     verify_pattern_1d,
@@ -85,7 +84,7 @@ def test_slab_all_coprime_pairs_up_to_10():
                 continue
             pattern, density = slab_pattern(a, b)
             assert density == Fraction(a + 1, 3 * a)
-            assert pattern_density(pattern) == density
+            assert pattern.density == density
             assert pierces(pattern, slab_family(a, b)), (a, b)
             if a >= 6:
                 assert density < Fraction(2, 5)
@@ -118,21 +117,21 @@ def test_easiest_family_verifies_across_grid():
     for n in range(1, 9):
         for k in range(1, 9):
             fam, pattern = easiest_family(n, k)
-            assert pattern_density(pattern) == Fraction(1, k)
+            assert pattern.density == Fraction(1, k)
             assert pierces(pattern, fam), (n, k)
 
 
 def test_reference_patterns():
     evens = reference_pattern("evens")
     assert (evens.period, set(evens.residues)) == (2, {0})
-    assert pattern_density(evens) == Fraction(1, 2)
+    assert evens.density == Fraction(1, 2)
 
     skip = reference_pattern("skip", n=3)
     assert (skip.period, set(skip.residues)) == (4, {1, 2, 3})
     assert verify_pattern_1d(skip, make_family([[0, 1], [0, 2], [0, 3]])) is None
 
     diag3 = reference_pattern("diag3")
-    assert pattern_density(diag3) == Fraction(1, 3)
+    assert diag3.density == Fraction(1, 3)
     rows = reference_pattern("even-rows")
     assert (rows.periods, set(rows.residues)) == ((1, 2), {(0, 0)})
 

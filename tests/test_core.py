@@ -13,7 +13,6 @@ from shippierce.core import (
     reflect,
     scale,
     scale_reduce,
-    span,
 )
 
 raw_ships = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True)
@@ -34,9 +33,9 @@ def test_normalize_idempotent(raw):
 
 
 def test_span_examples():
-    assert span(normalize_ship([0, 1, 3])) == 4
-    assert span(Ship((0,))) == 1
-    assert span(make_family([[0, 1], [0, 2, 4]])) == 5
+    assert normalize_ship([0, 1, 3]).span == 4
+    assert Ship((0,)).span == 1
+    assert make_family([[0, 1], [0, 2, 4]]).span == 5
 
 
 def test_reflect_examples():
@@ -65,10 +64,10 @@ def test_scale_reduce_singletons():
 def test_scale_reduce_span_relation(f, d):
     scaled = scale(f, d)
     reduced, factor = scale_reduce(scaled)
-    assert span(reduced) == (span(scaled) - 1) // factor + 1
+    assert reduced.span == (scaled.span - 1) // factor + 1
     # scaling an already-primitive family by d reduces straight back
     if scale_reduce(f)[1] == 1:
-        assert (reduced, factor) == (f, d if span(f) > 1 else 1)
+        assert (reduced, factor) == (f, d if f.span > 1 else 1)
 
 
 def test_family_canonical_order_and_dedup():

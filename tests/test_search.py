@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import shippierce.search
 from shippierce.closed_forms import density_bounds
 from shippierce.core import make_family, parse_family, reflect, scale_reduce
 from shippierce.search import (
@@ -94,9 +95,10 @@ def test_search_monotone_in_span_budget():
         prev_max, prev_min = rep.max_density, rep.min_density
 
 
-def test_results_file_roundtrip_and_resume(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_file_roundtrip_and_resume(tmp_path, workers):
     out = tmp_path / "results.txt"
-    rep1 = compute_extremes(2, 2, 6, results_path=out)
+    rep1 = compute_extremes(2, 2, 6, results_path=out, workers=workers)
     first = out.read_text()
     assert f"max {rep1.max_density} witness {rep1.max_witness}" in first  # 2/3 formats identically
     assert first.splitlines()[0].split("\t")[0] == "0,1;0,2"
@@ -105,16 +107,77 @@ def test_results_file_roundtrip_and_resume(tmp_path):
     # surviving lines and produce a byte-identical file
     lines = first.splitlines()
     out.write_text("\n".join(lines[:2]) + "\n")
-    rep2 = compute_extremes(2, 2, 6, results_path=out)
+    rep2 = compute_extremes(2, 2, 6, results_path=out, workers=workers)
     assert rep2 == rep1
     assert out.read_text() == first
 
 
-def test_workers_give_byte_identical_results(tmp_path):
+def test_invalid_cached_lines_are_solved_again(tmp_path):
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 2, 6, results_path=clean)
+    seeded = tmp_path / "seeded.txt"
+    # 1/0 used to crash the sweep, and 7/3 was reused as the maximum.
+    # 2/4 is not reduced, 0/1 lies below 1/k, and the rerun appends to
+    # a last line cut off without its newline.
+    seeded.write_text(
+        "0,1;0,2\t1/0\n0,1;0,3\t7/3\n0,1;0,4\t2/4\n0,1;0,5\t0/1\n0,2;0,3\t1/"
+    )
+    assert compute_extremes(2, 2, 6, results_path=seeded) == rep_clean
+    assert seeded.read_bytes() == clean.read_bytes()
+
+    # A kill while "1/10" is written can leave "1/1", a valid density
+    # for 10-cell ships; without its newline the line is not trusted.
+    cut = tmp_path / "cut.txt"
+    cut.write_text("0,1,2,3,4,5,6,7,8,9\t1/1")
+    assert compute_extremes(1, 10, 10, results_path=cut).max_density == Fraction(1, 10)
+
+
+def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
+    out = tmp_path / "results.txt"
+    texts = [str(f) for f in enumerate_families(2, 3, 7)]
+    real = shippierce.search.exact_density
+    calls = 0
+
+    def failing(f, span_cap):
+        nonlocal calls
+        calls += 1
+        if calls == 20:
+            raise RuntimeError("solver died")
+        return real(f, span_cap=span_cap)
+
+    monkeypatch.setattr(shippierce.search, "exact_density", failing)
+    with pytest.raises(RuntimeError):
+        compute_extremes(2, 3, 7, results_path=out, checkpoint_every=7)
+    kept = [line.split("\t")[0] for line in out.read_text().splitlines()]
+    assert kept == texts[:19]
+
+    monkeypatch.setattr(shippierce.search, "exact_density", real)
+    clean = tmp_path / "clean.txt"
+    assert compute_extremes(2, 3, 7, results_path=out) == compute_extremes(
+        2, 3, 7, results_path=clean
+    )
+    assert out.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lines_are_appended_in_enumeration_order(tmp_path, monkeypatch, workers):
+    def no_rewrite(*args):
+        raise RuntimeError("killed before the final rewrite")
+
+    monkeypatch.setattr(shippierce.search, "_write_results", no_rewrite)
+    out = tmp_path / "results.txt"
+    with pytest.raises(RuntimeError):
+        compute_extremes(2, 3, 7, results_path=out, workers=workers)
+    kept = [line.split("\t")[0] for line in out.read_text().splitlines()]
+    assert kept == [str(f) for f in enumerate_families(2, 3, 7)]
+
+
+@pytest.mark.parametrize("n, k, budget", [(2, 2, 7), (2, 3, 7)])
+def test_workers_give_byte_identical_results(tmp_path, n, k, budget):
     seq = tmp_path / "seq.txt"
     par = tmp_path / "par.txt"
-    rep_seq = compute_extremes(2, 2, 7, results_path=seq, workers=1)
-    rep_par = compute_extremes(2, 2, 7, results_path=par, workers=2)
+    rep_seq = compute_extremes(n, k, budget, results_path=seq, workers=1)
+    rep_par = compute_extremes(n, k, budget, results_path=par, workers=2)
     assert rep_seq == rep_par
     assert seq.read_text() == par.read_text()
 

@@ -11,7 +11,7 @@ from shippierce.solver import (
     min_mean_cycle,
     translate_masks,
 )
-from shippierce.verifier import pattern_density, verify_pattern_1d
+from shippierce.verifier import verify_pattern_1d
 
 from oracles import (
     brute_force_cycles_tiny,
@@ -153,7 +153,7 @@ def test_pattern_certified_and_density_exact():
     for text, pattern in expected.items():
         r = exact_density(parse_family(text))
         assert verify_pattern_1d(r.pattern, parse_family(text)) is None
-        assert pattern_density(r.pattern) == r.density
+        assert r.pattern.density == r.density
         assert str(r.pattern) == pattern, text
 
 
@@ -218,7 +218,7 @@ def test_any_piercing_pattern_is_at_least_optimal(f, pat_spec):
     period, residues = pat_spec
     x = Pattern1D(period, residues)
     if pierces(x, f):
-        assert pattern_density(x) >= exact_density(f).density
+        assert x.density >= exact_density(f).density
 
 
 def test_stats_reported():

@@ -9,7 +9,6 @@ from shippierce.verifier import (
     Pattern2D,
     parse_pattern_1d,
     parse_pattern_2d,
-    pattern_density,
     pierces,
     pierces_2d,
     scale_pattern,
@@ -19,10 +18,10 @@ from shippierce.verifier import (
 
 
 def test_density_examples():
-    assert pattern_density(Pattern1D(2, {0})) == Fraction(1, 2)
-    assert pattern_density(Pattern1D(5, {0, 2})) == Fraction(2, 5)
+    assert Pattern1D(2, {0}).density == Fraction(1, 2)
+    assert Pattern1D(5, {0, 2}).density == Fraction(2, 5)
     diag3 = Pattern2D((3, 3), {(0, 0), (1, 1), (2, 2)})
-    assert pattern_density(diag3) == Fraction(1, 3)
+    assert diag3.density == Fraction(1, 3)
 
 
 def test_verify_1d_examples():
@@ -94,7 +93,7 @@ def test_scaled_verify_matches_original(pat_spec, raw, d):
 
 def test_scale_pattern_density_unchanged():
     x = Pattern1D(5, {0, 2})
-    assert pattern_density(scale_pattern(x, 3)) == pattern_density(x)
+    assert scale_pattern(x, 3).density == x.density
     assert scale_pattern(x, 1) is x
 
 
