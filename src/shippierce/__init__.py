@@ -23,7 +23,6 @@ from .core import (
     parse_family_2d,
     parse_family_file,
     reflect,
-    reflect_2d,
     scale,
     scale_reduce,
 )

@@ -4,9 +4,9 @@ Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 resource refusal (span cap or memory guard).  Densities are printed
 as reduced fractions except in `bounds`, whose envelope is float by
 nature.  Family arguments accept either inline text ("0,1;0,2,4") or
-"@path" to read the one-ship-per-line file format.  The default span
-cap can be overridden with the SHIPPIERCE_SPAN_CAP environment
-variable.
+"@path" to read the one-ship-per-line file format.  Commands that take
+--span-cap default it from the SHIPPIERCE_SPAN_CAP environment
+variable when it is set; other commands ignore the variable.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import closed_forms, constructions, search
 from .core import Family, ParseError, format_density, parse_family, parse_family_2d, parse_family_file
 from .solver import DEFAULT_SPAN_CAP, MemoryGuardError, SpanCapError, exact_density
 from .verifier import (
-    Pattern2D,
     parse_pattern_1d,
     parse_pattern_2d,
     verify_pattern_1d,
@@ -50,12 +48,20 @@ def _read_family(spec: str) -> Family:
     return parse_family(spec)
 
 
-def _emit(args, plain_lines, payload) -> None:
-    if getattr(args, "json", False):
+def _emit(args, payload: dict, lines=None) -> None:
+    """Print a command's one result, payload, in the requested format.
+
+    Under --json the payload is printed as one JSON object with sorted
+    keys.  Otherwise lines are printed, one per line; they default to
+    one `key value` line per payload entry, in insertion order.
+    """
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in plain_lines:
-            print(line)
+        return
+    if lines is None:
+        lines = [f"{key} {value}" for key, value in payload.items()]
+    for line in lines:
+        print(line)
 
 
 def _vector(text: str) -> tuple[int, int]:
@@ -71,14 +77,6 @@ def cmd_density(args) -> int:
     result = exact_density(family, span_cap=args.span_cap)
     _emit(
         args,
-        [
-            f"density {format_density(result.density)}",
-            f"pattern {result.pattern}",
-            f"nodes {result.node_count}",
-            f"cycle {result.cycle_length}",
-            f"window {result.window_length}",
-            f"scale {result.scale}",
-        ],
         {
             "density": format_density(result.density),
             "pattern": str(result.pattern),
@@ -101,13 +99,13 @@ def cmd_verify(args) -> int:
         family = _read_family(args.family)
         witness = verify_pattern_1d(pattern, family)
     if witness is None:
-        _emit(args, ["ok"], {"pierces": True})
+        _emit(args, {"pierces": True}, ["ok"])
         return EXIT_OK
     ship_idx, offset = witness
     _emit(
         args,
-        [f"miss ship {ship_idx} offset {offset}"],
         {"pierces": False, "ship": ship_idx, "offset": list(offset) if isinstance(offset, tuple) else offset},
+        [f"miss ship {ship_idx} offset {offset}"],
     )
     return EXIT_VERIFY_FAILED
 
@@ -122,50 +120,43 @@ def cmd_search(args) -> int:
         results_path=args.out,
         checkpoint_every=args.checkpoint_every,
     )
-    _emit(
-        args,
-        [
-            f"families {report.families_examined} raw {report.families_raw}",
-            f"max {format_density(report.max_density)} witness {report.max_witness}",
-            f"min {format_density(report.min_density)} witness {report.min_witness}",
-        ],
-        {
-            "families": report.families_examined,
-            "raw": report.families_raw,
-            "max": format_density(report.max_density),
-            "max_witness": str(report.max_witness),
-            "min": format_density(report.min_density),
-            "min_witness": str(report.min_witness),
-        },
-    )
+    payload = {
+        "families": report.families_examined,
+        "raw": report.families_raw,
+        "max": format_density(report.max_density),
+        "max_witness": str(report.max_witness),
+        "min": format_density(report.min_density),
+        "min_witness": str(report.min_witness),
+    }
+    lines = [
+        "families {families} raw {raw}",
+        "max {max} witness {max_witness}",
+        "min {min} witness {min_witness}",
+    ]
+    _emit(args, payload, [line.format_map(payload) for line in lines])
     return EXIT_OK
 
 
 def cmd_mirror_triples(args) -> int:
     report = search.check_mirror_triples(span_cap=args.span_cap)
-    lines = [
-        f"{row.a},{row.b}\t{row.family}\t{format_density(row.density)}" for row in report.rows
-    ]
+    payload = {
+        "rows": [
+            {
+                "a": row.a,
+                "b": row.b,
+                "family": str(row.family),
+                "density": format_density(row.density),
+                "is_extreme": row.is_extreme,
+            }
+            for row in report.rows
+        ],
+        "all_below_bound": report.all_below_bound,
+        "extremes_as_expected": report.extremes_as_expected,
+    }
+    lines = ["{a},{b}\t{family}\t{density}".format_map(row) for row in payload["rows"]]
     lines.append(f"all_below_2/5 {str(report.all_below_bound).lower()}")
     lines.append(f"extremes_as_expected {str(report.extremes_as_expected).lower()}")
-    _emit(
-        args,
-        lines,
-        {
-            "rows": [
-                {
-                    "a": row.a,
-                    "b": row.b,
-                    "family": str(row.family),
-                    "density": format_density(row.density),
-                    "is_extreme": row.is_extreme,
-                }
-                for row in report.rows
-            ],
-            "all_below_bound": report.all_below_bound,
-            "extremes_as_expected": report.extremes_as_expected,
-        },
-    )
+    _emit(args, payload, lines)
     return EXIT_OK if report.all_below_bound and report.extremes_as_expected else EXIT_VERIFY_FAILED
 
 
@@ -184,67 +175,51 @@ def cmd_formula(args) -> int:
         value = closed_forms.easiest_value(args.n, args.k)
     elif args.kind == "pair22-2d":
         value = closed_forms.two_2ships_density_2d(_vector(args.u), _vector(args.v))
-    elif args.kind == "mirror3-2d":
+    else:  # mirror3-2d
         value = closed_forms.three_ship_reflection_2d(
             _vector(args.u), _vector(args.v), span_cap=args.span_cap
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown formula {args.kind!r}")
-    _emit(args, [format_density(value)], {"value": format_density(value)})
+    payload = {"value": format_density(value)}
+    _emit(args, payload, [payload["value"]])
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     report = closed_forms.density_bounds(args.n, args.k)
-    upper_line = (
-        f"upper {report.upper_rational_part}"
+    payload = {
+        "n": report.n,
+        "k": report.k,
+        "lower": report.lower,
+        "upper": report.upper,
+        "upper_rational_part": str(report.upper_rational_part),
+        "vacuous_lower": report.vacuous_lower,
+    }
+    lines = [
+        "lower {lower!r}" + (" (vacuous)" if report.vacuous_lower else ""),
+        "upper {upper_rational_part}"
         if report.upper == float(report.upper_rational_part)
-        else f"upper {report.upper!r}"
-    )
-    _emit(
-        args,
-        [
-            f"lower {report.lower!r}" + (" (vacuous)" if report.vacuous_lower else ""),
-            upper_line,
-            f"upper_float {report.upper!r}",
-        ],
-        {
-            "n": report.n,
-            "k": report.k,
-            "lower": report.lower,
-            "upper": report.upper,
-            "upper_rational_part": str(report.upper_rational_part),
-            "vacuous_lower": report.vacuous_lower,
-        },
-    )
+        else "upper {upper!r}",
+        "upper_float {upper!r}",
+    ]
+    _emit(args, payload, [line.format_map(payload) for line in lines])
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
+    payload = {}
     if args.kind == "greedy":
         gaps = [int(tok) for tok in args.gaps.split(",")]
-        pattern, density = constructions.greedy_two_sided(gaps, horizon=args.horizon)
+        pattern, _ = constructions.greedy_two_sided(gaps, horizon=args.horizon)
     elif args.kind == "slab":
-        pattern, density = constructions.slab_pattern(args.a, args.b)
+        pattern, _ = constructions.slab_pattern(args.a, args.b)
     elif args.kind == "easiest":
         family, pattern = constructions.easiest_family(args.n, args.k)
-        density = pattern.density
-        _emit(
-            args,
-            [f"family {family}", f"pattern {pattern}", f"density {format_density(density)}"],
-            {"family": str(family), "pattern": str(pattern), "density": format_density(density)},
-        )
-        return EXIT_OK
-    elif args.kind == "ref":
+        payload["family"] = str(family)
+    else:  # ref
         pattern = constructions.reference_pattern(args.name, n=args.n)
-        density = pattern.density
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown construction {args.kind!r}")
-    _emit(
-        args,
-        [f"pattern {pattern}", f"density {format_density(density)}"],
-        {"pattern": str(pattern), "density": format_density(density)},
-    )
+    payload["pattern"] = str(pattern)
+    payload["density"] = format_density(pattern.density)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -362,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "span_cap", None) is None:
+    if "span_cap" in args and args.span_cap is None:
         try:
             args.span_cap = _default_span_cap()
         except ParseError as exc:

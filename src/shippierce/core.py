@@ -203,10 +203,6 @@ def normalize_ship_2d(raw_points) -> Ship2D:
     return Ship2D(tuple((x - ax, y - ay) for x, y in pts))
 
 
-def reflect_2d(f: Family2D) -> Family2D:
-    return Family2D(tuple(s.reflect() for s in f.ships))
-
-
 # ----------------------------------------------------------------------
 # Text formats
 #

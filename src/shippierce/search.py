@@ -133,6 +133,8 @@ def compute_extremes(
         raise ValueError("span_budget exceeds span_cap")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     families = list(enumerate_families(n, k, span_budget))
     if not families:
         raise ValueError(
@@ -146,7 +148,10 @@ def compute_extremes(
     with ExitStack() as stack:
         out = stack.enter_context(open(results_path, "a")) if results_path else None
         if workers > 1 and todo:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # The pool forks all its workers at the first submit, so it
+            # gets no more of them than there are chunks to solve.
+            chunks = math.ceil(len(todo) / POOL_CHUNKSIZE)
+            pool = ProcessPoolExecutor(max_workers=min(workers, chunks))
             stack.callback(pool.shutdown, cancel_futures=True)
             solved = pool.map(_density, todo, repeat(span_cap), chunksize=POOL_CHUNKSIZE)
         else:

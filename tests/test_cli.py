@@ -83,6 +83,21 @@ def test_span_cap_env_default(capsys, monkeypatch):
     assert run(capsys, "density", "0,1,9")[0] == 0
 
 
+def test_span_cap_env_ignored_without_span_cap_option(capsys, monkeypatch):
+    monkeypatch.delenv("SHIPPIERCE_SPAN_CAP", raising=False)
+    commands = [
+        ("verify", "--pattern", "2:0", "0,1"),
+        ("bounds", "--n", "3", "--k", "2"),
+        ("construct", "ref", "evens"),
+    ]
+    expected = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out and not err for code, out, err in expected)
+    monkeypatch.setenv("SHIPPIERCE_SPAN_CAP", "x")
+    assert [run(capsys, *argv) for argv in commands] == expected
+    code, _, err = run(capsys, "density", "0,1,9")
+    assert code == 2 and err == "error: bad SHIPPIERCE_SPAN_CAP value 'x'\n"
+
+
 def test_family_file_argument(capsys, tmp_path):
     p = tmp_path / "fam.txt"
     p.write_text("0,1\n0,2,4\n")
@@ -114,6 +129,14 @@ def test_search_refuses_checkpoint_every_below_one(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("error:") and "checkpoint_every" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_refuses_workers_below_one(capsys, workers):
+    code, out, err = run(
+        capsys, "search", "--n", "2", "--k", "2", "--max-span", "6", "--workers", workers
+    )
+    assert (code, out, err) == (2, "", "error: workers must be at least 1\n")
 
 
 def test_mirror_triples_command(capsys):

@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,27 @@ def test_workers_give_byte_identical_results(tmp_path, n, k, budget):
     rep_par = compute_extremes(n, k, budget, results_path=par, workers=2)
     assert rep_seq == rep_par
     assert seq.read_text() == par.read_text()
+
+
+def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(shippierce.search, "ProcessPoolExecutor", RecordingPool)
+    report = compute_extremes(2, 2, 7, workers=4)
+    assert report.families_examined == 11  # one chunk of POOL_CHUNKSIZE
+    assert report == compute_extremes(2, 2, 7, workers=1)
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_refused(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        compute_extremes(2, 2, 6, workers=workers)
 
 
 def test_budget_must_fit_cap():
