@@ -209,9 +209,9 @@ def cmd_construct(args) -> int:
     payload = {}
     if args.kind == "greedy":
         gaps = [int(tok) for tok in args.gaps.split(",")]
-        pattern, _ = constructions.greedy_two_sided(gaps, horizon=args.horizon)
+        pattern = constructions.greedy_two_sided(gaps, horizon=args.horizon)
     elif args.kind == "slab":
-        pattern, _ = constructions.slab_pattern(args.a, args.b)
+        pattern = constructions.slab_pattern(args.a, args.b)
     elif args.kind == "easiest":
         family, pattern = constructions.easiest_family(args.n, args.k)
         payload["family"] = str(family)

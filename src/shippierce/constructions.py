@@ -19,13 +19,11 @@ from .core import Family, Ship, Family2D, normalize_ship, normalize_ship_2d
 from .verifier import Pattern1D, Pattern2D
 
 
-class GreedyHorizonError(RuntimeError):
+class GreedyHorizonError(ValueError):
     """The greedy sweep did not close a cycle within the horizon."""
 
 
-def greedy_two_sided(
-    gaps, horizon: int | None = None
-) -> tuple[Pattern1D, Fraction]:
+def greedy_two_sided(gaps, horizon: int | None = None) -> Pattern1D:
     """Periodic tail of the greedy pattern for {[0,a_1], ..., [0,a_n]}.
 
     Sweeping upward from an all-shot initial segment, every cell not
@@ -56,11 +54,10 @@ def greedy_two_sided(
             start = seen[state]
             period = t - start
             bits = outputs[start:t]
-            residues = {i for i, b in enumerate(bits) if b}
-            density = Fraction(len(residues), period)
-            if density > Fraction(len(gaps), len(gaps) + 1):
+            pattern = Pattern1D(period, {i for i, b in enumerate(bits) if b})
+            if pattern.density > Fraction(len(gaps), len(gaps) + 1):
                 raise AssertionError("greedy density exceeded n/(n+1)")
-            return Pattern1D(period, residues), density
+            return pattern
         seen[state] = t
         if state & 1:
             outputs.append(1)
@@ -73,7 +70,7 @@ def greedy_two_sided(
     )
 
 
-def slab_pattern(a: int, b: int) -> tuple[Pattern1D, Fraction]:
+def slab_pattern(a: int, b: int) -> Pattern1D:
     """Period-3a pattern of density (a+1)/(3a) piercing [0,a,a+b] and
     its mirror image, for coprime a >= b >= 1.
 
@@ -100,7 +97,7 @@ def slab_pattern(a: int, b: int) -> tuple[Pattern1D, Fraction]:
         if (i + j) % 3 == 0 or (i == 0 and j == boost):
             residues.add(cell)
     assert len(residues) == a + 1
-    return Pattern1D(period, residues), Fraction(a + 1, 3 * a)
+    return Pattern1D(period, residues)
 
 
 def slab_family(a: int, b: int) -> Family:

@@ -24,7 +24,6 @@ upper bound.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +34,14 @@ from .verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 DEFAULT_SPAN_CAP = 22
 
-# Refuse window enumerations whose working arrays would exceed this.
+# Refuse solves whose estimated peak working set would exceed this.
 MEMORY_GUARD_BYTES = 2 << 30
+
+# Peak RSS growth of a whole solve per s-bit window, measured at spans
+# 18 and 20 (x86-64, Python 3.11, numpy 2.4): 115 B on 0,1,s-1 and
+# 252 B on 0,5,s-2,s-1;0,s-1, whose tight subgraph keeps 60% of the
+# windows, the most found.  Rounded up.
+BYTES_PER_WINDOW = 256
 
 _INF = 1 << 40
 
@@ -88,10 +93,10 @@ class WindowGraph:
         pair: a window w is valid iff w AND mask != 0 for every mask.
         """
         s = family.span
-        estimate = (1 << s) * 9  # int64 word array + bool validity array
+        estimate = (1 << s) * BYTES_PER_WINDOW
         if estimate > MEMORY_GUARD_BYTES:
             raise MemoryGuardError(
-                f"window enumeration for span {s} needs ~{estimate} bytes, "
+                f"solving span {s} needs ~{estimate} bytes, "
                 f"above the guard of {MEMORY_GUARD_BYTES}"
             )
         masks = translate_masks(family, s)
@@ -196,7 +201,7 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     reduced = d[pred] + (q * w_in - p) - d
     if (found & (reduced < 0)).any():
         raise AssertionError("potentials do not certify the minimum cycle mean")
-    cycle = _extract_cycle(words, pred, found & (reduced == 0))
+    cycle = _extract_cycle(graph, pred, found & (reduced == 0), q)
     assert q * sum(w & 1 for w in cycle) == p * len(cycle)
     return Fraction(p, q), cycle
 
@@ -221,17 +226,24 @@ def _parent_cycle(parent: np.ndarray) -> list[int] | None:
     return cycle
 
 
-def _extract_cycle(words, pred, tight) -> list[int]:
+def _extract_cycle(graph, pred, tight, q) -> list[int]:
     """Deterministic optimal cycle among the tight edges.
 
-    tight masks the edges pred[b, v] -> v of zero reduced cost.  Every
-    cycle of tight edges is optimal and every optimal cycle is tight.
-    Nodes without a tight edge both in and out lie on no such cycle and
-    are trimmed until none is left.  Inside the tight subgraph, any
-    closed walk whose length equals the minimum cycle length is
-    automatically a simple optimal cycle, which reduces the tie-break
-    to breadth-first searches plus one greedy descent.
+    tight masks the edges pred[b, v] -> v of zero reduced cost: the
+    tight cycles are exactly the optimal ones.  Nodes without a tight
+    edge both in and out lie on none and are trimmed away.  Then:
+
+    * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
+      gcd(p, q) = 1, every optimal length L is a multiple of q;
+    * the start, the smallest node on any shortest optimal cycle, is
+      the first root whose search over the nodes above it closes a walk
+      of the current length: those cycles through it lie above it, and
+      a smaller root lies on none;
+    * a closed walk of the shortest length is a simple cycle, so a
+      successor finishes it in exactly r steps iff its distance back to
+      the start is r; the descent takes the smallest such one.
     """
+    words = graph.nodes
     n = len(words)
     alive = np.ones(n, dtype=bool)
     while True:
@@ -243,59 +255,46 @@ def _extract_cycle(words, pred, tight) -> list[int]:
     if not alive.any():
         raise ValueError("graph has no cycle")
 
-    # Tight successor lists, ascending by target (hence lexicographic):
-    # both out-edges of a node sit in the row of its oldest bit, and
-    # nonzero() walks each row by ascending target.
-    tight_succ: dict[int, list[int]] = {v: [] for v in np.flatnonzero(alive).tolist()}
+    # Tight predecessors of every surviving word; keys ascend.
+    into: dict[int, list[int]] = {v: [] for v in words[alive].tolist()}
     rows, targets = np.nonzero(edge)
-    for u, v in zip(pred[rows, targets].tolist(), targets.tolist()):
-        tight_succ[u].append(v)
+    for u, v in zip(words[pred[rows, targets]].tolist(), words[targets].tolist()):
+        into[v].append(u)
 
-    # Smallest node carrying a shortest tight closed walk.
-    best_len = None
-    start = None
-    for v in tight_succ:
-        cap = best_len if best_len is not None else n + 1
-        length = _closed_walk_length(tight_succ, v, cap)
-        if length is not None and (best_len is None or length < best_len):
-            best_len = length
-            start = v
-
-    # Exact-length feasibility, then greedy lexicographic descent.
-    feasible = [set() for _ in range(best_len + 1)]
-    feasible[0] = {start}
-    for r in range(1, best_len + 1):
-        prev = feasible[r - 1]
-        feasible[r] = {u for u, out in tight_succ.items() if any(v in prev for v in out)}
-
-    cycle_idx = [start]
-    u = start
-    for step_no in range(best_len - 1):
-        remaining = best_len - step_no - 1
-        u = next(v for v in tight_succ[u] if v in feasible[remaining])
-        cycle_idx.append(u)
-    assert start in tight_succ[cycle_idx[-1]]
-    assert len(set(cycle_idx)) == len(cycle_idx)
-    return [int(words[i]) for i in cycle_idx]
+    mask = (1 << graph.s) - 1
+    for length in range(q, len(into) + 1, q):
+        for start in into:
+            dist = _distances_to(into, start, length)
+            if dist is None:
+                continue
+            cycle = [start]
+            for remaining in range(length - 1, 0, -1):
+                u = cycle[-1]
+                cycle.append(next(
+                    v for v in ((u << 1) & mask, ((u << 1) & mask) | 1)
+                    if dist.get(v) == remaining and u in into[v]
+                ))
+            assert cycle[-1] in into[start]
+            return cycle
+    raise AssertionError("tight subgraph has no cycle")
 
 
-def _closed_walk_length(tight: dict[int, list[int]], v: int, cap: int) -> int | None:
-    """Length of the shortest tight closed walk through v, if < cap."""
-    seen = {u: 1 for u in tight[v]}
-    if v in seen:
-        return 1
-    queue = deque(tight[v])
-    while queue:
-        u = queue.popleft()
-        depth = seen[u]
-        if depth + 1 >= cap:
-            continue
-        for t in tight[u]:
-            if t == v:
-                return depth + 1
-            if t not in seen:
-                seen[t] = depth + 1
-                queue.append(t)
+def _distances_to(into, root: int, length: int) -> dict[int, int] | None:
+    """Breadth-first tight distances back to root from the nodes above
+    it, returned once a walk through root closes within length steps.
+    """
+    dist = {root: 0}
+    frontier = [root]
+    for depth in range(1, length + 1):
+        reached = []
+        for v in frontier:
+            for u in into[v]:
+                if u == root:
+                    return dist
+                if u > root and u not in dist:
+                    dist[u] = depth
+                    reached.append(u)
+        frontier = reached
     return None
 
 

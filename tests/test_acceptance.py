@@ -173,12 +173,13 @@ def test_07_greedy_verifies_and_meets_bound_everywhere():
     cases = 0
     for n in range(1, 5):
         for gaps in combinations(range(1, 9), n):
-            pattern, density = greedy_two_sided(gaps)
+            pattern = greedy_two_sided(gaps)
+            density = pattern.density
             assert density <= Fraction(n, n + 1), gaps
             assert pierces(pattern, make_family([[0, g] for g in gaps])), gaps
             cases += 1
     for n in range(1, 5):
-        _, density = greedy_two_sided(range(1, n + 1))
+        density = greedy_two_sided(range(1, n + 1)).density
         assert density == toughest_2ships_value(n)
     ok(f"[7] greedy pattern verifies with density <= n/(n+1) on {cases} gap sets; "
        "= n/(n+1) on consecutive gaps")
@@ -190,7 +191,8 @@ def test_08_slab_construction_everywhere():
         for b in range(1, a):
             if math.gcd(a, b) != 1:
                 continue
-            pattern, density = slab_pattern(a, b)
+            pattern = slab_pattern(a, b)
+            density = pattern.density
             assert density == Fraction(a + 1, 3 * a)
             assert pattern.density == density
             assert pierces(pattern, slab_family(a, b)), (a, b)

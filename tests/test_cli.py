@@ -4,7 +4,7 @@ import pytest
 
 from shippierce.cli import main
 from shippierce.core import parse_family
-from shippierce.solver import exact_density
+from shippierce.solver import BYTES_PER_WINDOW, MEMORY_GUARD_BYTES, exact_density
 from shippierce.verifier import parse_pattern_1d, verify_pattern_1d
 
 
@@ -73,6 +73,14 @@ def test_span_cap_exit_code_and_message(capsys):
     code, _, err = run(capsys, "density", "0,1,40", "--span-cap", "20")
     assert code == 3
     assert "41" in err  # required span reported
+
+
+def test_memory_guard_refuses_span_24(capsys):
+    # The first span whose estimate exceeds the guard; span 23 fits.
+    assert (1 << 23) * BYTES_PER_WINDOW <= MEMORY_GUARD_BYTES
+    code, out, err = run(capsys, "density", "0,1,23", "--span-cap", "24")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: solving span 24 needs ~")
 
 
 def test_span_cap_env_default(capsys, monkeypatch):
@@ -184,3 +192,12 @@ def test_construct_commands(capsys):
     assert code == 0 and "pattern 2:0" in out and "density 1/2" in out
     assert run(capsys, "construct", "ref", "diag3")[0] == 0
     assert run(capsys, "construct", "ref", "mystery")[0] == 2
+
+
+@pytest.mark.parametrize("horizon", ["3", "0"])
+def test_construct_greedy_short_horizon_is_an_input_error(capsys, horizon):
+    code, out, err = run(
+        capsys, "construct", "greedy", "--gaps", "1,9", "--horizon", horizon
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: no cycle within horizon {horizon}; increase the horizon\n"

@@ -26,16 +26,19 @@ def gap_family(gaps):
 
 
 def test_greedy_examples():
-    pattern, density = greedy_two_sided([1, 2])
+    pattern = greedy_two_sided([1, 2])
+    density = pattern.density
     assert density == Fraction(2, 3)
     # equivalent to "everything except multiples of 3"
     assert pattern.period == 3 and len(pattern.residues) == 2
 
-    pattern, density = greedy_two_sided([1])
+    pattern = greedy_two_sided([1])
+    density = pattern.density
     assert density == Fraction(1, 2)
     assert pattern.period == 2
 
-    pattern, density = greedy_two_sided([2, 3])
+    pattern = greedy_two_sided([2, 3])
+    density = pattern.density
     assert density == Fraction(3, 5)  # frozen from the sweep itself
     assert Fraction(3, 5) <= density <= Fraction(3, 4)
     assert pierces(pattern, gap_family([2, 3]))
@@ -44,14 +47,16 @@ def test_greedy_examples():
 def test_greedy_pierces_and_respects_bound_everywhere():
     for n in range(1, 5):
         for gaps in combinations(range(1, 9), n):
-            pattern, density = greedy_two_sided(gaps)
+            pattern = greedy_two_sided(gaps)
+            density = pattern.density
             assert density <= Fraction(n, n + 1), gaps
             assert pierces(pattern, gap_family(gaps)), gaps
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_greedy_consecutive_gaps_hit_worst_case(n):
-    pattern, density = greedy_two_sided(range(1, n + 1))
+    pattern = greedy_two_sided(range(1, n + 1))
+    density = pattern.density
     assert density == Fraction(n, n + 1)
     zeros = set(range(pattern.period)) - set(pattern.residues)
     assert len(zeros) * (n + 1) == pattern.period
@@ -67,13 +72,14 @@ def test_greedy_horizon_refusal():
 
 
 def test_slab_examples():
-    _, density = slab_pattern(6, 1)
+    density = slab_pattern(6, 1).density
     assert density == Fraction(7, 18)
-    pattern, density = slab_pattern(4, 3)
+    pattern = slab_pattern(4, 3)
+    density = pattern.density
     assert density == Fraction(5, 12)
     assert slab_family(4, 3) == make_family([[0, 4, 7], [0, 3, 7]])
     assert pierces(pattern, slab_family(4, 3))
-    _, density = slab_pattern(7, 2)
+    density = slab_pattern(7, 2).density
     assert density == Fraction(8, 21)
 
 
@@ -82,7 +88,8 @@ def test_slab_all_coprime_pairs_up_to_10():
         for b in range(1, a + 1):
             if math.gcd(a, b) != 1:
                 continue
-            pattern, density = slab_pattern(a, b)
+            pattern = slab_pattern(a, b)
+            density = pattern.density
             assert density == Fraction(a + 1, 3 * a)
             assert pattern.density == density
             assert pierces(pattern, slab_family(a, b)), (a, b)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shippierce.core import Family, Ship, make_family, parse_family, reflect, scale, scale_reduce
+from shippierce.search import enumerate_families
 from shippierce.solver import (
     SpanCapError,
     WindowGraph,
@@ -83,17 +85,39 @@ def test_cycle_enumeration_oracle_on_01_graph():
     assert min_mean_cycle(g)[0] == Fraction(1, 2) == min(means)
 
 
-def test_tie_break_is_shortest_then_lexicographic():
-    # {[0,2]} at span 3: optimal mean 1/2 is achieved by many cycles;
-    # the contract picks the shortest and lexicographically first.
-    g = WindowGraph.from_family(parse_family("0,2"))
+# {[0,2]} at span 3, whose optimal mean 1/2 is achieved by many cycles,
+# plus every canonical family of at most 3 ships of at most 4 cells
+# within span 5; 8 of them have no optimal cycle as short as the mean's
+# denominator.
+TIE_BREAK_FAMILIES = ["0,2"] + [
+    str(f) for n in (1, 2, 3) for k in range(1, 5) for f in enumerate_families(n, k, 5)
+]
+
+
+@pytest.mark.parametrize("text", TIE_BREAK_FAMILIES)
+def test_tie_break_is_shortest_then_lexicographic(text):
+    # The contract picks the shortest optimal cycle, then the
+    # lexicographically first one rooted at its smallest node.
+    g = WindowGraph.from_family(parse_family(text))
     mean, cycle = min_mean_cycle(g)
-    assert mean == Fraction(1, 2)
-    others = [c for c in brute_force_cycles_tiny(g)
-              if 2 * sum(w & 1 for w in c) == len(c)]
+    cycles = brute_force_cycles_tiny(g)
+    assert mean == min(Fraction(sum(w & 1 for w in c), len(c)) for c in cycles)
+    others = [c for c in cycles
+              if mean.denominator * sum(w & 1 for w in c) == mean.numerator * len(c)]
     shortest = min(len(c) for c in others)
     assert len(cycle) == shortest
     assert cycle == min(c for c in others if len(c) == shortest)
+
+
+def test_patterns_pinned_on_small_canonical_families():
+    # family, density and pattern for every canonical family of at most
+    # 3 ships of 2 to 4 cells within span 9 - n; 64 of the patterns are
+    # longer than the mean's denominator, so they pin the tie-break.
+    path = Path(__file__).parent / "data" / "tie_break_patterns.tsv"
+    for line in path.read_text().splitlines():
+        text, density, pattern = line.split("\t")
+        r = exact_density(parse_family(text))
+        assert (str(r.density), str(r.pattern)) == (density, pattern), text
 
 
 @pytest.mark.parametrize(
@@ -149,6 +173,11 @@ def test_pattern_certified_and_density_exact():
         "0,1,4;0,2,4": "7:0,1,6",
         "0,3;0,1,2": "2:1",
         "0,1,2,5;0,3,4": "5:1,3",
+        "0,6,11;0,11": "2:1",
+        "0,1,12;0,12;0,15": "27:0,1,2,3,4,5,6,7,8,9,10,23,24,25,26",
+        "0,3,7,11;0,10;0,15": "25:0,1,2,3,4,5,6,7,8,19,20,21,22,23,24",
+        "0,5,9,15;0,8,13,15;0,12": "24:0,1,2,3,4,5,6,7,20,21,22,23",
+        "0,5,14,15;0,15": "2:1",
     }
     for text, pattern in expected.items():
         r = exact_density(parse_family(text))
