@@ -24,6 +24,7 @@ upper bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,13 +38,15 @@ DEFAULT_SPAN_CAP = 22
 # Refuse solves whose estimated peak working set would exceed this.
 MEMORY_GUARD_BYTES = 2 << 30
 
-# Peak RSS growth of a whole solve per s-bit window, measured at spans
-# 18 and 20 (x86-64, Python 3.11, numpy 2.4): 115 B on 0,1,s-1 and
-# 252 B on 0,5,s-2,s-1;0,s-1, whose tight subgraph keeps 60% of the
-# windows, the most found.  Rounded up.
+# Peak RSS growth of a whole density command per s-bit window at spans
+# 18 and 20 (x86-64, Python 3.11, numpy 2.4): 80-89 B on 0,1,s-1, 190 B
+# on 0,1,s-2;0,s-2,s-1 and 225 B on 0,5,s-2,s-1;0,s-1, whose tight
+# subgraph keeps 60% of the windows, the most found.  Rounded up.
 BYTES_PER_WINDOW = 256
 
-_INF = 1 << 40
+# Potential of an invalid word.  An edge into one costs 2 * _INF, more than
+# any potential can fall, so edges touching one are never tight or negative.
+_INF = 1 << 60
 
 
 class SpanCapError(RuntimeError):
@@ -62,28 +65,31 @@ class MemoryGuardError(RuntimeError):
     """Estimated working-set size exceeds the memory guard."""
 
 
-@dataclass(frozen=True, eq=False)
 class WindowGraph:
-    """Directed graph of valid s-bit windows.
+    """Directed graph of valid s-bit windows, kept as a boolean mask.
 
-    Nodes are a sorted int64 array of window words (MSB = oldest cell,
-    so integer order is lexicographic order on the 01-strings).  Edges
-    go from w to ((w << 1) & mask) | b for b in {0, 1} whenever the
-    target is also a node; the weight of an edge is the appended bit b.
+    valid[w] says whether word w (MSB = oldest cell, so integer order is
+    lexicographic order on the 01-strings) is a node.  Edges go from w
+    to ((w << 1) & mask) | b for b in {0, 1} whenever the target is also
+    a node; the weight of an edge is the appended bit b.  It is a
+    subgraph of the binary de Bruijn graph: the predecessors of v are
+    v >> 1 and (v >> 1) | 2^(s-1).
     """
 
-    s: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        if self.s < 1:
+    def __init__(self, s: int, nodes):
+        if s < 1:
             raise ValueError("window length must be positive")
-        nodes = np.asarray(self.nodes, dtype=np.int64)
-        if nodes.ndim != 1 or (nodes[1:] <= nodes[:-1]).any():
-            raise ValueError("nodes must be sorted and duplicate-free")
-        if len(nodes) and not (0 <= nodes[0] and nodes[-1] < (1 << self.s)):
+        words = np.asarray(nodes, dtype=np.int64)
+        if words.size and not (0 <= words.min() and words.max() < (1 << s)):
             raise ValueError("node words must fit in s bits")
-        object.__setattr__(self, "nodes", nodes)
+        self.s = s
+        self.valid = np.zeros(1 << s, dtype=bool)
+        self.valid[words] = True
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The valid words, ascending."""
+        return np.flatnonzero(self.valid)
 
     @classmethod
     def from_family(cls, family: Family) -> "WindowGraph":
@@ -99,24 +105,11 @@ class WindowGraph:
                 f"solving span {s} needs ~{estimate} bytes, "
                 f"above the guard of {MEMORY_GUARD_BYTES}"
             )
-        masks = translate_masks(family, s)
         words = np.arange(1 << s, dtype=np.int64)
-        ok = np.ones(1 << s, dtype=bool)
-        for m in masks:
-            ok &= (words & m) != 0
-        return cls(s, words[ok])
-
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Predecessor indices of every node, shape (2, n), and a found mask.
-
-        Row b holds the index of the word with oldest bit b followed by
-        the node's older s - 1 bits; the mask is False where that word
-        is not a node.
-        """
-        words = self.nodes
-        wanted = np.stack([words >> 1, (words >> 1) | (1 << (self.s - 1))])
-        idx = np.minimum(np.searchsorted(words, wanted), len(words) - 1)
-        return idx, words[idx] == wanted
+        valid = np.ones(1 << s, dtype=bool)
+        for m in translate_masks(family, s):
+            valid &= (words & m) != 0
+        return cls(s, words[valid])
 
 
 def translate_masks(family: Family, s: int) -> list[int]:
@@ -150,10 +143,11 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     Starts from the bound lambda = p/q = 1, the mean of the all-ones
     window's self-loop, and sweeps all nodes at once on the integer edge
     weights q*w - p from zero potentials; a node's potential and parent
-    pointer change only on a strict decrease.  When the parent pointers
-    close a cycle, lambda drops to that cycle's mean and the sweeps
-    restart from zero potentials.  The first sweep that changes no
-    potential ends the search, and it always comes:
+    pointer change only on a strict decrease.  The parent pointers are
+    checked for a cycle after 1, 2, 4, ... sweeps since lambda last
+    changed.  When they close one, lambda drops to that cycle's mean and
+    the sweeps restart from zero potentials.  The first sweep that
+    changes no potential ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
@@ -161,7 +155,11 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     * while the parent pointers are acyclic, each potential is at least
       the weight of a simple parent path from a node still at potential
       0, so potentials are bounded below.  They are integers and every
-      sweep lowers one, so each lambda round ends.
+      sweep lowers one, so a lambda round with no negative cycle ends;
+    * potentials only fall, so once one is below that bound the parent
+      pointers stay cyclic.  A negative cycle lets the sweeps lower
+      potentials forever, so every check from some point on finds a
+      parent cycle, and the delayed checks do come.
 
     The witness is the shortest optimal cycle; among equally short
     ones, the one whose node sequence (rotated to start at its smallest
@@ -170,38 +168,38 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     Raises ValueError if the graph has no cycle, and AssertionError if
     the final potentials fail to certify the mean.
     """
-    words = graph.nodes
-    n = len(words)
-    if n == 0:
-        raise ValueError("graph has no nodes")
-    pred, found = graph.predecessors()
-    # All edges into a node carry the same weight: the node's newest bit.
-    w_in = words & 1
-
+    valid = graph.valid
+    half = len(valid) >> 1
+    up = np.arange(len(valid)) >> 1  # word 2a + b has the predecessors a and a + half
     p, q = 1, 1
-    d = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1)
     while True:
-        via0, via1 = np.where(found, d[pred] + (q * w_in - p), _INF)
-        best = np.minimum(via0, via1)
-        improved = best < d
+        # All edges into a word carry the same weight: its newest bit.
+        cost = np.where(valid, np.tile([-p, q - p], half), 2 * _INF)
+        d = np.where(valid, 0, _INF)
+        pick = np.zeros(len(valid), dtype=bool)  # parent is up + half * pick once d < 0
+        for sweep in itertools.count(1):
+            pairs = d.reshape(2, half)
+            best = np.minimum(pairs[0], pairs[1]).repeat(2) + cost
+            improved = best < d
+            if not improved.any():
+                break
+            pick ^= improved & (pick ^ (pairs[1] < pairs[0]).repeat(2))
+            np.minimum(d, best, out=d)
+            if sweep & (sweep - 1) == 0:
+                cycle = _parent_cycle(np.where(d < 0, up + half * pick, -1))
+                if cycle is not None:
+                    break
         if not improved.any():
             break
-        d = np.where(improved, best, d)
-        parent = np.where(improved, np.where(via1 < via0, pred[1], pred[0]), parent)
-        cycle = _parent_cycle(parent)
-        if cycle is not None:
-            mean = Fraction(int(w_in[cycle].sum()), len(cycle))
-            assert mean < Fraction(p, q), "parent cycle is not negative"
-            p, q = mean.numerator, mean.denominator
-            d[:] = 0
-            parent[:] = -1
+        mean = Fraction(sum(w & 1 for w in cycle), len(cycle))
+        assert mean < Fraction(p, q), "parent cycle is not negative"
+        p, q = mean.numerator, mean.denominator
 
     # Lower-bound certificate: no edge has a negative reduced cost.
-    reduced = d[pred] + (q * w_in - p) - d
-    if (found & (reduced < 0)).any():
+    reduced = d.reshape(2, -1).repeat(2, axis=1) + (cost - d)
+    if (reduced < 0).any():
         raise AssertionError("potentials do not certify the minimum cycle mean")
-    cycle = _extract_cycle(graph, pred, found & (reduced == 0), q)
+    cycle = _extract_cycle(graph, reduced == 0, q)
     assert q * sum(w & 1 for w in cycle) == p * len(cycle)
     return Fraction(p, q), cycle
 
@@ -210,28 +208,29 @@ def _parent_cycle(parent: np.ndarray) -> list[int] | None:
     """Node indices of one cycle of parent pointers, if there is one.
 
     Pointer doubling sends every node at least n steps up its parent
-    chain (nodes without a parent point at a sentinel that points at
-    itself), which lands exactly on the nodes of parent cycles.
+    chain (nodes without a parent, marked -1, point at a sentinel that
+    points at itself), which lands exactly on the nodes of parent
+    cycles.  It stops early once every chain has reached the sentinel.
     """
     n = len(parent)
     jump = np.append(np.where(parent >= 0, parent, n), n)
     for _ in range(n.bit_length()):
         jump = jump[jump]
-    on_cycle = np.flatnonzero(jump[:n] < n)
-    if not len(on_cycle):
-        return None
-    cycle = [int(jump[on_cycle[0]])]
+        if jump.min() == n:
+            return None
+    cycle = [int(jump[np.argmax(jump[:n] < n)])]
     while (u := int(parent[cycle[-1]])) != cycle[0]:
         cycle.append(u)
     return cycle
 
 
-def _extract_cycle(graph, pred, tight, q) -> list[int]:
+def _extract_cycle(graph, tight, q) -> list[int]:
     """Deterministic optimal cycle among the tight edges.
 
-    tight masks the edges pred[b, v] -> v of zero reduced cost: the
-    tight cycles are exactly the optimal ones.  Nodes without a tight
-    edge both in and out lie on none and are trimmed away.  Then:
+    tight[c, v] masks the edge into word v from (v >> 1) + c * 2^(s-1)
+    of zero reduced cost: the tight cycles are exactly the optimal ones.
+    Nodes without a tight edge both in and out lie on none and are
+    trimmed away.  Then:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
@@ -243,23 +242,24 @@ def _extract_cycle(graph, pred, tight, q) -> list[int]:
       successor finishes it in exactly r steps iff its distance back to
       the start is r; the descent takes the smallest such one.
     """
-    words = graph.nodes
-    n = len(words)
-    alive = np.ones(n, dtype=bool)
+    half = len(graph.valid) >> 1
+    out = tight.reshape(2, half, 2)  # out[c, a, b]: from c * half + a to 2a + b
+    alive = graph.valid
     while True:
-        edge = tight & alive & alive[pred]
-        keep = edge.any(axis=0) & (np.bincount(pred[edge], minlength=n) > 0)
-        if np.array_equal(keep, alive):
+        has_out = (out[:, :, 0] & alive[0::2] | out[:, :, 1] & alive[1::2]).ravel()
+        preds = alive.reshape(2, half).repeat(2, axis=1)
+        keep = alive & has_out & (tight & preds).any(axis=0)
+        if not (keep ^ alive).any():
             break
         alive = keep
     if not alive.any():
         raise ValueError("graph has no cycle")
 
     # Tight predecessors of every surviving word; keys ascend.
-    into: dict[int, list[int]] = {v: [] for v in words[alive].tolist()}
-    rows, targets = np.nonzero(edge)
-    for u, v in zip(words[pred[rows, targets]].tolist(), words[targets].tolist()):
-        into[v].append(u)
+    into: dict[int, list[int]] = {v: [] for v in np.flatnonzero(alive).tolist()}
+    for c in (0, 1):
+        for v in np.flatnonzero(alive & tight[c] & preds[c]).tolist():
+            into[v].append((v >> 1) + c * half)
 
     mask = (1 << graph.s) - 1
     for length in range(q, len(into) + 1, q):
@@ -331,7 +331,7 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
     return SolveResult(
         density=density,
         pattern=pattern,
-        node_count=len(graph.nodes),
+        node_count=int(np.count_nonzero(graph.valid)),
         cycle_length=length,
         window_length=s,
         scale=d,

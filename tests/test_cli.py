@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,18 @@ def test_density_plain_and_json_agree(capsys):
     assert payload["pattern"] == lines["pattern"]
     assert payload["nodes"] == int(lines["nodes"])
     assert payload["cycle"] == int(lines["cycle"])
+
+
+# `density --json` output of slow shapes at reduced spans 14 and 16,
+# captured before the solver moved to the dense window graph.
+SLOW_SHAPES = json.loads(
+    (Path(__file__).parent / "data" / "density_span13_16.json").read_text()
+)
+
+
+@pytest.mark.parametrize("family", SLOW_SHAPES)
+def test_density_pinned_on_slow_shapes(capsys, family):
+    assert run(capsys, "density", family, "--json") == (0, SLOW_SHAPES[family], "")
 
 
 def test_density_examples(capsys):

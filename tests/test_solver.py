@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from shippierce.search import enumerate_families
 from shippierce.solver import (
     SpanCapError,
     WindowGraph,
+    _parent_cycle,
     exact_density,
     min_mean_cycle,
     translate_masks,
@@ -51,6 +53,39 @@ def test_window_graph_nodes():
     edges = sorted(graph_edges(g))
     assert [(v, b) for u, v, b in edges if u == 2] == [(1, 1)]
     assert [(v, b) for u, v, b in edges if u == 3] == [(2, 0), (3, 1)]
+
+
+@pytest.mark.parametrize(
+    "s, nodes", [(0, ()), (-1, ()), (3, (1, -1)), (3, (0, 8)), (1, (2,))]
+)
+def test_window_graph_rejects_bad_input(s, nodes):
+    # s < 1, a negative word, a word of more than s bits
+    with pytest.raises(ValueError):
+        WindowGraph(s, nodes)
+
+
+def test_window_graph_from_node_list():
+    g = WindowGraph(3, [5, 1, 5, 7])
+    assert g.nodes.tolist() == [1, 5, 7]
+    assert g.valid.tolist() == [False, True, False, False, False, True, False, True]
+
+
+def test_parent_cycle_none_on_a_deep_acyclic_chain():
+    # Node i points at i - 1 and node 0 is the root: a chain of depth 99
+    # reaches the sentinel only after 7 doubling passes.
+    parent = np.arange(-1, 99)
+    assert _parent_cycle(parent) is None
+
+
+def test_parent_cycle_found_behind_a_long_tail():
+    # Nodes 0..29 lead up a tail into the cycle 30 -> 31 -> ... -> 34 -> 30
+    # of parent pointers; nodes 35..39 have no parent.
+    parent = np.full(40, -1)
+    parent[:30] = np.arange(1, 31)
+    parent[30:35] = [31, 32, 33, 34, 30]
+    cycle = _parent_cycle(parent)
+    assert sorted(cycle) == [30, 31, 32, 33, 34]
+    assert [int(parent[u]) for u in cycle] == cycle[1:] + cycle[:1]
 
 
 def test_translate_masks_cover_every_fit():
