@@ -12,6 +12,7 @@ variable when it is set; other commands ignore the variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,6 +224,7 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shippierce",
@@ -335,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if "span_cap" in args and args.span_cap is None:
         try:
             args.span_cap = _default_span_cap()

@@ -38,10 +38,10 @@ DEFAULT_SPAN_CAP = 22
 # Refuse solves whose estimated peak working set would exceed this.
 MEMORY_GUARD_BYTES = 2 << 30
 
-# Peak RSS growth of a whole density command per s-bit window at spans
-# 18 and 20 (x86-64, Python 3.11, numpy 2.4): 80-89 B on 0,1,s-1, 190 B
-# on 0,1,s-2;0,s-2,s-1 and 225 B on 0,5,s-2,s-1;0,s-1, whose tight
-# subgraph keeps 60% of the windows, the most found.  Rounded up.
+# Peak RSS growth of a whole density command per s-bit window at spans 18
+# and 20 (x86-64, Python 3.11, numpy 2.4): 80-89 B on 0,1,s-1, 84-99 B on
+# 0,1,s-2;0,s-2,s-1, 96-100 B on 0,5,s-2,s-1;0,s-1.  Kept at 256 so span 24
+# stays the first refused; lowering it goes with ROADMAP item 4's span cap.
 BYTES_PER_WINDOW = 256
 
 # Potential of an invalid word.  An edge into one costs 2 * _INF, more than
@@ -234,6 +234,8 @@ def _extract_cycle(graph, tight, q) -> list[int]:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
+    * a closed walk of length L through r re-appends r's own bits, so
+      r is L-periodic: r >> L == r mod 2^max(s-L, 0), true for L >= s;
     * the start, the smallest node on any shortest optimal cycle, is
       the first root whose search over the nodes above it closes a walk
       of the current length: those cycles through it lie above it, and
@@ -252,48 +254,46 @@ def _extract_cycle(graph, tight, q) -> list[int]:
         if not (keep ^ alive).any():
             break
         alive = keep
-    if not alive.any():
+    words = np.flatnonzero(alive)
+    if not words.size:
         raise ValueError("graph has no cycle")
+    # Tight edges between surviving words, viewed for cheap scalar lookups.
+    edge = memoryview(tight & preds & alive)
 
-    # Tight predecessors of every surviving word; keys ascend.
-    into: dict[int, list[int]] = {v: [] for v in np.flatnonzero(alive).tolist()}
-    for c in (0, 1):
-        for v in np.flatnonzero(alive & tight[c] & preds[c]).tolist():
-            into[v].append((v >> 1) + c * half)
-
-    mask = (1 << graph.s) - 1
-    for length in range(q, len(into) + 1, q):
-        for start in into:
-            dist = _distances_to(into, start, length)
+    for length in range(q, words.size + 1, q):
+        low = (1 << max(graph.s - length, 0)) - 1
+        for start in words[(words >> length) == (words & low)].tolist():
+            dist = _distances_to(edge, start, length)
             if dist is None:
                 continue
             cycle = [start]
             for remaining in range(length - 1, 0, -1):
                 u = cycle[-1]
-                cycle.append(next(
-                    v for v in ((u << 1) & mask, ((u << 1) & mask) | 1)
-                    if dist.get(v) == remaining and u in into[v]
-                ))
-            assert cycle[-1] in into[start]
+                cycle.append(next(v for v in (u % half * 2, u % half * 2 + 1)
+                                  if dist.get(v) == remaining and edge[u // half, v]))
+            assert edge[cycle[-1] // half, start]
             return cycle
     raise AssertionError("tight subgraph has no cycle")
 
 
-def _distances_to(into, root: int, length: int) -> dict[int, int] | None:
+def _distances_to(edge, root: int, length: int) -> dict[int, int] | None:
     """Breadth-first tight distances back to root from the nodes above
     it, returned once a walk through root closes within length steps.
     """
+    half = edge.shape[1] >> 1
     dist = {root: 0}
     frontier = [root]
     for depth in range(1, length + 1):
         reached = []
         for v in frontier:
-            for u in into[v]:
-                if u == root:
-                    return dist
-                if u > root and u not in dist:
-                    dist[u] = depth
-                    reached.append(u)
+            for c in (0, 1):
+                if edge[c, v]:
+                    u = (v >> 1) + c * half
+                    if u == root:
+                        return dist
+                    if u > root and u not in dist:
+                        dist[u] = depth
+                        reached.append(u)
         frontier = reached
     return None
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shippierce import solver
 from shippierce.core import Family, Ship, make_family, parse_family, reflect, scale, scale_reduce
 from shippierce.search import enumerate_families
 from shippierce.solver import (
@@ -142,6 +143,28 @@ def test_tie_break_is_shortest_then_lexicographic(text):
     shortest = min(len(c) for c in others)
     assert len(cycle) == shortest
     assert cycle == min(c for c in others if len(c) == shortest)
+
+
+def test_witness_search_starts_only_where_a_walk_can_close(monkeypatch):
+    # A closed walk of length L < s through a word re-appends its own
+    # bits, so only L-periodic words can start one.  Span 14, mean 1/2,
+    # shortest optimal cycle 2: at most the four 2-periodic words are
+    # searched from.
+    searches = []
+    real = solver._distances_to
+
+    def recording(edge, root, length):
+        searches.append((root, length))
+        return real(edge, root, length)
+
+    monkeypatch.setattr(solver, "_distances_to", recording)
+    r = exact_density(parse_family("0,5,12,13;0,13"))
+    assert (r.window_length, r.cycle_length) == (14, 2)
+    s = r.window_length
+    for root, length in searches:
+        if length < s:
+            assert root >> length == root & ((1 << (s - length)) - 1), (root, length)
+    assert 1 <= len(searches) <= 4
 
 
 def test_patterns_pinned_on_small_canonical_families():
