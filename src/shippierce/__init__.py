@@ -40,8 +40,6 @@ from .verifier import (
     Pattern2D,
     parse_pattern_1d,
     parse_pattern_2d,
-    pierces,
-    pierces_2d,
     scale_pattern,
     verify_pattern_1d,
     verify_pattern_2d,

@@ -346,7 +346,7 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SpanCapError, MemoryGuardError) as exc:

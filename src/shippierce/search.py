@@ -23,6 +23,7 @@ from itertools import combinations, repeat
 from pathlib import Path
 from typing import Iterator
 
+from .constructions import slab_family
 from .core import Family, Ship, format_density, offset_gcd, parse_family, reflect
 from .solver import DEFAULT_SPAN_CAP, exact_density
 
@@ -233,8 +234,7 @@ def check_mirror_triples(span_cap: int = DEFAULT_SPAN_CAP) -> MirrorTripleReport
     rows = []
     for a in range(2, 6):
         for b in range(1, a):
-            ship = Ship((0, a, a + b))
-            family = Family((ship, ship.reflect()))
+            family = slab_family(a, b)
             density = exact_density(family, span_cap=span_cap).density
             g = math.gcd(a, b)
             rows.append(

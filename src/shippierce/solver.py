@@ -39,8 +39,8 @@ DEFAULT_SPAN_CAP = 22
 MEMORY_GUARD_BYTES = 2 << 30
 
 # Peak RSS growth of a whole density command per s-bit window at spans 18
-# and 20 (x86-64, Python 3.11, numpy 2.4): 80-89 B on 0,1,s-1, 84-99 B on
-# 0,1,s-2;0,s-2,s-1, 96-100 B on 0,5,s-2,s-1;0,s-1.  Kept at 256 so span 24
+# and 20 (x86-64, Python 3.11, numpy 2.4): 82-84 B on 0,1,s-1, 80-82 B on
+# 0,1,s-2;0,s-2,s-1, 82-84 B on 0,5,s-2,s-1;0,s-1.  Kept at 256 so span 24
 # stays the first refused; lowering it goes with ROADMAP item 4's span cap.
 BYTES_PER_WINDOW = 256
 
@@ -95,8 +95,9 @@ class WindowGraph:
     def from_family(cls, family: Family) -> "WindowGraph":
         """Enumerate all valid windows of length family.span.
 
-        Validity is checked against one bitmask per (ship, translate)
-        pair: a window w is valid iff w AND mask != 0 for every mask.
+        With one length-2 axis per cell, oldest first, the mask's C-order
+        flattening is the MSB-first word order.  Each ship translate
+        clears one block: the windows that are 0 on all of its cells.
         """
         s = family.span
         estimate = (1 << s) * BYTES_PER_WINDOW
@@ -105,26 +106,16 @@ class WindowGraph:
                 f"solving span {s} needs ~{estimate} bytes, "
                 f"above the guard of {MEMORY_GUARD_BYTES}"
             )
-        words = np.arange(1 << s, dtype=np.int64)
-        valid = np.ones(1 << s, dtype=bool)
-        for m in translate_masks(family, s):
-            valid &= (words & m) != 0
-        return cls(s, words[valid])
-
-
-def translate_masks(family: Family, s: int) -> list[int]:
-    """One bitmask per ship translate that fits inside an s-window."""
-    masks = []
-    for ship in family.ships:
-        t = ship.span
-        if t > s:
-            raise ValueError(f"ship span {t} exceeds window length {s}")
-        for j in range(s - t + 1):
-            m = 0
-            for a in ship.offsets:
-                m |= 1 << (s - 1 - (j + a))
-            masks.append(m)
-    return masks
+        cells = np.ones((2,) * s, dtype=bool)
+        for ship in family.ships:
+            for j in range(s - ship.span + 1):
+                block = [slice(None)] * s
+                for a in ship.offsets:
+                    block[j + a] = 0
+                cells[tuple(block)] = False
+        graph = cls.__new__(cls)
+        graph.s, graph.valid = s, cells.reshape(-1)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -240,6 +231,9 @@ def _extract_cycle(graph, tight, q) -> list[int]:
       the first root whose search over the nodes above it closes a walk
       of the current length: those cycles through it lie above it, and
       a smaller root lies on none;
+    * no word on the cycle is below its start r, and the word j steps on
+      has r's low s-j bits on top, so only prenecklaces are roots:
+      r mod 2^(s-j) >= r >> j for every j in 1..s-1;
     * a closed walk of the shortest length is a simple cycle, so a
       successor finishes it in exactly r steps iff its distance back to
       the start is r; the descent takes the smallest such one.
@@ -259,10 +253,13 @@ def _extract_cycle(graph, tight, q) -> list[int]:
         raise ValueError("graph has no cycle")
     # Tight edges between surviving words, viewed for cheap scalar lookups.
     edge = memoryview(tight & preds & alive)
+    roots = words
+    for j in range(1, graph.s):
+        roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]
 
     for length in range(q, words.size + 1, q):
         low = (1 << max(graph.s - length, 0)) - 1
-        for start in words[(words >> length) == (words & low)].tolist():
+        for start in roots[(roots >> length) == (roots & low)].tolist():
             dist = _distances_to(edge, start, length)
             if dist is None:
                 continue

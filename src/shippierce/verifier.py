@@ -95,14 +95,6 @@ def verify_pattern_2d(x: Pattern2D, f: Family2D) -> tuple[int, tuple[int, int]] 
     return None
 
 
-def pierces(x: Pattern1D, f: Family) -> bool:
-    return verify_pattern_1d(x, f) is None
-
-
-def pierces_2d(x: Pattern2D, f: Family2D) -> bool:
-    return verify_pattern_2d(x, f) is None
-
-
 def scale_pattern(x: Pattern1D, d: int) -> Pattern1D:
     """Stretch a pattern by d, duplicating each shot across all d phases.
 

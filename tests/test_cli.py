@@ -130,6 +130,25 @@ def test_family_file_argument(capsys, tmp_path):
     assert code == 0 and "density 3/5" in out
 
 
+# An unreadable @path or an unwritable --out is an input error (exit 2),
+# not a failed verification (exit 1) or a traceback.
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("verify", "--pattern", "5:0,4", "@{}"), "missing.txt"),
+        (("density", "@{}"), "missing.txt"),
+        (("density", "@{}"), ""),  # a directory
+        (("search", "--n", "2", "--k", "2", "--max-span", "6", "--out", "{}"), "no/such/r.txt"),
+    ],
+    ids=["verify-missing", "density-missing", "density-directory", "search-out"],
+)
+def test_file_errors_are_input_errors(capsys, tmp_path, argv, path):
+    target = str(tmp_path / path)
+    code, out, err = run(capsys, *(arg.format(target) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and target in err
+
+
 def test_search_command(capsys, tmp_path):
     out_file = tmp_path / "res.txt"
     code, out, _ = run(

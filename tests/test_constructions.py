@@ -14,11 +14,7 @@ from shippierce.constructions import (
     slab_pattern,
 )
 from shippierce.core import make_family
-from shippierce.verifier import (
-    pierces,
-    pierces_2d,
-    verify_pattern_1d,
-)
+from shippierce.verifier import verify_pattern_1d, verify_pattern_2d
 
 
 def gap_family(gaps):
@@ -41,7 +37,7 @@ def test_greedy_examples():
     density = pattern.density
     assert density == Fraction(3, 5)  # frozen from the sweep itself
     assert Fraction(3, 5) <= density <= Fraction(3, 4)
-    assert pierces(pattern, gap_family([2, 3]))
+    assert verify_pattern_1d(pattern, gap_family([2, 3])) is None
 
 
 def test_greedy_pierces_and_respects_bound_everywhere():
@@ -50,7 +46,7 @@ def test_greedy_pierces_and_respects_bound_everywhere():
             pattern = greedy_two_sided(gaps)
             density = pattern.density
             assert density <= Fraction(n, n + 1), gaps
-            assert pierces(pattern, gap_family(gaps)), gaps
+            assert verify_pattern_1d(pattern, gap_family(gaps)) is None, gaps
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -78,7 +74,7 @@ def test_slab_examples():
     density = pattern.density
     assert density == Fraction(5, 12)
     assert slab_family(4, 3) == make_family([[0, 4, 7], [0, 3, 7]])
-    assert pierces(pattern, slab_family(4, 3))
+    assert verify_pattern_1d(pattern, slab_family(4, 3)) is None
     density = slab_pattern(7, 2).density
     assert density == Fraction(8, 21)
 
@@ -92,7 +88,7 @@ def test_slab_all_coprime_pairs_up_to_10():
             density = pattern.density
             assert density == Fraction(a + 1, 3 * a)
             assert pattern.density == density
-            assert pierces(pattern, slab_family(a, b)), (a, b)
+            assert verify_pattern_1d(pattern, slab_family(a, b)) is None, (a, b)
             if a >= 6:
                 assert density < Fraction(2, 5)
 
@@ -125,7 +121,7 @@ def test_easiest_family_verifies_across_grid():
         for k in range(1, 9):
             fam, pattern = easiest_family(n, k)
             assert pattern.density == Fraction(1, k)
-            assert pierces(pattern, fam), (n, k)
+            assert verify_pattern_1d(pattern, fam) is None, (n, k)
 
 
 def test_reference_patterns():
@@ -153,8 +149,8 @@ def test_reference_families_and_planar_checks():
     rows = reference_pattern("even-rows")
     f180 = reference_family_2d("l180")
     f90 = reference_family_2d("l90")
-    assert pierces_2d(diag3, f180)
-    assert pierces_2d(rows, f90)
-    assert not pierces_2d(diag3, f90)
+    assert verify_pattern_2d(diag3, f180) is None
+    assert verify_pattern_2d(rows, f90) is None
+    assert verify_pattern_2d(diag3, f90) is not None
     with pytest.raises(ValueError):
         reference_family_2d("l270")

@@ -14,7 +14,6 @@ from shippierce.solver import (
     _parent_cycle,
     exact_density,
     min_mean_cycle,
-    translate_masks,
 )
 from shippierce.verifier import verify_pattern_1d
 
@@ -89,11 +88,31 @@ def test_parent_cycle_found_behind_a_long_tail():
     assert [int(parent[u]) for u in cycle] == cycle[1:] + cycle[:1]
 
 
-def test_translate_masks_cover_every_fit():
-    f = parse_family("0,2;0,1,3")  # canonical order: [0,1,3] then [0,2]
-    masks = translate_masks(f, 4)
-    # [0,1,3] fits only at 0; [0,2] at 0 and 1 (MSB-first bit layout)
-    assert masks == [0b1101, 0b1010, 0b0101]
+# Every canonical family of at most 2 ships of at most 3 cells within
+# span 7, plus a two-ship family of unequal spans, a family with a
+# one-cell ship and the one-cell family.
+BRUTE_FORCE_NODE_FAMILIES = ["0,1,3;0,2", "4;0,1", "0"] + [
+    str(f) for n in (1, 2) for k in (1, 2, 3) for f in enumerate_families(n, k, 7)
+]
+
+
+def test_window_nodes_match_brute_force():
+    # Word w holds cell i of the window at bit s - 1 - i (oldest cell in
+    # the MSB); it is a node iff every ship translate inside the window
+    # has a shot.
+    assert len(BRUTE_FORCE_NODE_FAMILIES) == 77
+    for text in BRUTE_FORCE_NODE_FAMILIES:
+        f = parse_family(text)
+        s = f.span
+        expected = [
+            w for w in range(1 << s)
+            if all(
+                any(w >> (s - 1 - j - a) & 1 for a in ship.offsets)
+                for ship in f.ships
+                for j in range(s - ship.span + 1)
+            )
+        ]
+        assert WindowGraph.from_family(f).nodes.tolist() == expected, text
 
 
 def test_min_mean_cycle_forced_graphs():
@@ -165,6 +184,29 @@ def test_witness_search_starts_only_where_a_walk_can_close(monkeypatch):
         if length < s:
             assert root >> length == root & ((1 << (s - length)) - 1), (root, length)
     assert 1 <= len(searches) <= 4
+
+
+def test_witness_search_starts_only_from_prenecklaces(monkeypatch):
+    # The start of the witness is the smallest word on its cycle, and the
+    # word j steps later carries the start's low s - j bits on top, so
+    # only prenecklaces can start one.  Span 9, mean 1/2, shortest
+    # optimal cycle 16, so most searches run at lengths >= s, where no
+    # periodicity narrows the roots; 972 ran before this rule, 755 of
+    # them from words that are not prenecklaces.
+    searches = []
+    real = solver._distances_to
+
+    def recording(edge, root, length):
+        searches.append(root)
+        return real(edge, root, length)
+
+    monkeypatch.setattr(solver, "_distances_to", recording)
+    r = exact_density(parse_family("0,7,8;0,8"))
+    assert (r.window_length, r.cycle_length, str(r.pattern)) == (9, 16, "16:0,1,2,3,4,5,6,15")
+    s = r.window_length
+    for root in searches:
+        assert all(root & ((1 << (s - j)) - 1) >= root >> j for j in range(1, s)), root
+    assert 1 <= len(searches) <= 217
 
 
 def test_patterns_pinned_on_small_canonical_families():
@@ -300,11 +342,11 @@ def test_sub_ship_monotonicity(f, rng):
 )
 @settings(max_examples=40, deadline=None)
 def test_any_piercing_pattern_is_at_least_optimal(f, pat_spec):
-    from shippierce.verifier import Pattern1D, pierces
+    from shippierce.verifier import Pattern1D
 
     period, residues = pat_spec
     x = Pattern1D(period, residues)
-    if pierces(x, f):
+    if verify_pattern_1d(x, f) is None:
         assert x.density >= exact_density(f).density
 
 

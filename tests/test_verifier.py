@@ -9,8 +9,6 @@ from shippierce.verifier import (
     Pattern2D,
     parse_pattern_1d,
     parse_pattern_2d,
-    pierces,
-    pierces_2d,
     scale_pattern,
     verify_pattern_1d,
     verify_pattern_2d,
@@ -40,8 +38,8 @@ def test_witness_is_lexicographically_first():
 
 def test_verify_translation_invariant():
     evens = Pattern1D(2, {0})
-    assert pierces(evens, make_family([[10, 11]]))
-    assert pierces(evens, make_family([[-7, -6]]))
+    assert verify_pattern_1d(evens, make_family([[10, 11]])) is None
+    assert verify_pattern_1d(evens, make_family([[-7, -6]])) is None
 
 
 def test_verify_2d_l_shapes():
@@ -61,13 +59,14 @@ def test_verify_2d_l_shapes():
 def test_sub_family_and_super_ship_monotonicity():
     pattern = Pattern1D(5, {0, 4})
     fam = make_family([[0, 1, 3]])
-    assert pierces(pattern, fam)
+    assert verify_pattern_1d(pattern, fam) is None
     # super-ship: add a cell to the ship
-    assert pierces(pattern, make_family([[0, 1, 3, 4]]))
+    assert verify_pattern_1d(pattern, make_family([[0, 1, 3, 4]])) is None
     # sub-family of a larger pierced family
     bigger = make_family([[0, 1, 3], [0, 1]])
-    assert pierces(pattern, bigger) == (
-        pierces(pattern, fam) and pierces(pattern, make_family([[0, 1]]))
+    assert (verify_pattern_1d(pattern, bigger) is None) == (
+        verify_pattern_1d(pattern, fam) is None
+        and verify_pattern_1d(pattern, make_family([[0, 1]])) is None
     )
 
 
