@@ -338,13 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "span_cap" in args and args.span_cap is None:
-        try:
-            args.span_cap = _default_span_cap()
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
     try:
+        if "span_cap" in args and args.span_cap is None:
+            args.span_cap = _default_span_cap()
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

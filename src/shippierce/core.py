@@ -70,12 +70,6 @@ class Family:
     def span(self) -> int:
         return max(s.span for s in self.ships)
 
-    def __len__(self) -> int:
-        return len(self.ships)
-
-    def __iter__(self):
-        return iter(self.ships)
-
     def __str__(self) -> str:
         return ";".join(str(s) for s in self.ships)
 
@@ -159,10 +153,6 @@ class Ship2D:
         if self.points[0] != (0, 0):
             raise ValueError("2D ship must be anchored at (0,0)")
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def reflect(self) -> "Ship2D":
         """Point reflection through the origin, re-anchored."""
         return normalize_ship_2d([(-x, -y) for x, y in self.points])
@@ -181,12 +171,6 @@ class Family2D:
         if not self.ships:
             raise ValueError("a family needs at least one ship")
         object.__setattr__(self, "ships", tuple(sorted(set(self.ships))))
-
-    def __len__(self) -> int:
-        return len(self.ships)
-
-    def __iter__(self):
-        return iter(self.ships)
 
     def __str__(self) -> str:
         return ";".join(str(s) for s in self.ships)

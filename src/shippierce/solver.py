@@ -39,9 +39,10 @@ DEFAULT_SPAN_CAP = 22
 MEMORY_GUARD_BYTES = 2 << 30
 
 # Peak RSS growth of a whole density command per s-bit window at spans 18
-# and 20 (x86-64, Python 3.11, numpy 2.4): 82-84 B on 0,1,s-1, 80-82 B on
-# 0,1,s-2;0,s-2,s-1, 82-84 B on 0,5,s-2,s-1;0,s-1.  Kept at 256 so span 24
-# stays the first refused; lowering it goes with ROADMAP item 4's span cap.
+# and 20 on 0,1,s-1, 0,1,s-2;0,s-2,s-1 and 0,5,s-2,s-1;0,s-1 (x86-64,
+# Python 3.11, numpy 2.4): 82-88 B, or 76-83 B with glibc's mmap threshold
+# fixed by MALLOC_MMAP_THRESHOLD_=131072.  Kept at 256 so span 24 stays the
+# first refused; lowering it goes with ROADMAP item 4's span cap.
 BYTES_PER_WINDOW = 256
 
 # Potential of an invalid word.  An edge into one costs 2 * _INF, more than
@@ -220,8 +221,10 @@ def _extract_cycle(graph, tight, q) -> list[int]:
 
     tight[c, v] masks the edge into word v from (v >> 1) + c * 2^(s-1)
     of zero reduced cost: the tight cycles are exactly the optimal ones.
-    Nodes without a tight edge both in and out lie on none and are
-    trimmed away.  Then:
+    Nodes without a tight edge in from a kept node lie on none and are
+    trimmed away.  Nodes without one out are kept: a search only enters
+    nodes that reach its root, so trimming them would not shrink it.
+    Then:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
@@ -239,20 +242,18 @@ def _extract_cycle(graph, tight, q) -> list[int]:
       the start is r; the descent takes the smallest such one.
     """
     half = len(graph.valid) >> 1
-    out = tight.reshape(2, half, 2)  # out[c, a, b]: from c * half + a to 2a + b
     alive = graph.valid
     while True:
-        has_out = (out[:, :, 0] & alive[0::2] | out[:, :, 1] & alive[1::2]).ravel()
         preds = alive.reshape(2, half).repeat(2, axis=1)
-        keep = alive & has_out & (tight & preds).any(axis=0)
+        keep = alive & (tight & preds).any(axis=0)
         if not (keep ^ alive).any():
             break
         alive = keep
     words = np.flatnonzero(alive)
     if not words.size:
         raise ValueError("graph has no cycle")
-    # Tight edges between surviving words, viewed for cheap scalar lookups.
-    edge = memoryview(tight & preds & alive)
+    # Tight edges from surviving words, viewed for cheap scalar lookups.
+    edge = memoryview(tight & preds)
     roots = words
     for j in range(1, graph.s):
         roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]

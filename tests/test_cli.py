@@ -198,6 +198,8 @@ def test_formula_commands(capsys):
     assert run(capsys, "formula", "pair22-2d", "--u", "1,0", "--v", "0,1")[1].strip() == "1/2"
     assert run(capsys, "formula", "mirror3-2d", "--u", "2,0", "--v", "3,0")[1].strip() == "2/5"
     assert run(capsys, "formula", "pair22", "0,1,2;0,1")[0] == 2
+    code, out, err = run(capsys, "formula", "pair22", "0,1;0,2;0,3")
+    assert (code, out, err) == (2, "", "error: pair22 needs exactly two ships\n")
 
 
 def test_bounds_command(capsys):

@@ -120,7 +120,10 @@ def test_three_ship_reflection_2d_examples():
         three_ship_reflection_2d((0, 0), (1, 1))
 
 
-@pytest.mark.parametrize("u,v", [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (1, 2))])
+@pytest.mark.parametrize(
+    "u,v",
+    [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (1, 2)), ((0, 1), (1, 0)), ((1, 2), (2, 1))],
+)
 def test_three_ship_reflection_2d_witness_pierces(u, v):
     ship = normalize_ship_2d([(0, 0), u, v])
     fam = Family2D((ship, ship.reflect()))

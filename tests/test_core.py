@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +114,24 @@ def test_parse_family_file(tmp_path):
     (tmp_path / "empty.txt").write_text("# nothing\n")
     with pytest.raises(ParseError):
         parse_family_file(tmp_path / "empty.txt")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0,1\n0,2\n0,x\n")
+    with pytest.raises(ParseError) as info:
+        parse_family_file(bad)
+    assert str(info.value).startswith(f"{bad}:3: bad ship")
+    (tmp_path / "dup.txt").write_text("0,1\n2,2\n")
+    with pytest.raises(ParseError) as info:
+        parse_family_file(tmp_path / "dup.txt")
+    assert str(info.value) == "duplicate cell in ship [2, 2]"
+
+
+def test_numpy_free_modules_import_without_numpy():
+    # core, verifier and constructions never need the solver, so importing
+    # them must not pull in numpy through the package root.
+    code = ("import sys, shippierce.core, shippierce.verifier, shippierce.constructions; "
+            "assert 'numpy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_parse_family_2d():

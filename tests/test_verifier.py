@@ -114,6 +114,9 @@ def test_pattern_parse_errors():
     for bad in ["3:(0,0)", "3,3:(5,0)", "3,3:(0,0)x"]:
         with pytest.raises(ParseError):
             parse_pattern_2d(bad)
+    with pytest.raises(ParseError) as info:
+        parse_pattern_2d("3,3")
+    assert str(info.value) == "pattern '3,3' needs a ':' separator"
 
 
 def test_pattern_invariants():
