@@ -4,9 +4,11 @@ Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 resource refusal (span cap or memory guard).  Densities are printed
 as reduced fractions except in `bounds`, whose envelope is float by
 nature.  Family arguments accept either inline text ("0,1;0,2,4") or
-"@path" to read the one-ship-per-line file format.  Commands that take
---span-cap default it from the SHIPPIERCE_SPAN_CAP environment
-variable when it is set; other commands ignore the variable.
+"@path" to read the one-ship-per-line file format.  Every command
+accepts --json and then prints one JSON object with sorted keys.
+Commands that take --span-cap default it from the SHIPPIERCE_SPAN_CAP
+environment variable when it is set; other commands ignore the
+variable.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def cmd_verify(args) -> int:
     ship_idx, offset = witness
     _emit(
         args,
-        {"pierces": False, "ship": ship_idx, "offset": list(offset) if isinstance(offset, tuple) else offset},
+        {"pierces": False, "ship": ship_idx, "offset": offset},
         [f"miss ship {ship_idx} offset {offset}"],
     )
     return EXIT_VERIFY_FAILED
@@ -231,108 +233,79 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact minimum-density piercing patterns for ship families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []  # (leaf parser, whether it takes --span-cap)
 
-    def add_span_cap(p):
-        p.add_argument(
-            "--span-cap",
-            type=int,
-            default=None,
-            help=f"max reduced window length (default {DEFAULT_SPAN_CAP}, "
-            "or SHIPPIERCE_SPAN_CAP)",
-        )
+    def leaf(group, name, help, func, span_cap=False):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        leaves.append((p, span_cap))
+        return p
 
-    p = sub.add_parser("density", help="exact minimum piercing density")
+    p = leaf(sub, "density", "exact minimum piercing density", cmd_density, span_cap=True)
     p.add_argument("family", help='family text like "0,1;0,2,4" or @file')
-    add_span_cap(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("verify", help="check a pattern against a family")
+    p = leaf(sub, "verify", "check a pattern against a family", cmd_verify)
     p.add_argument("family", help="family text (2D with --2d) or @file")
     p.add_argument("--pattern", required=True, help='"p:r1,r2" or "p,q:(i,j),..."')
     p.add_argument("--2d", dest="two_d", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="extremes over all families of a type")
+    p = leaf(sub, "search", "extremes over all families of a type", cmd_search, span_cap=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-span", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="results file (resumable)")
     p.add_argument("--checkpoint-every", type=int, default=500, help="flush --out every N new lines")
-    add_span_cap(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser(
-        "mirror-triples",
-        help="exact densities of {[0,a,a+b], mirror} for all b < a <= 5",
-    )
-    add_span_cap(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mirror_triples)
+    mirror_help = "exact densities of {[0,a,a+b], mirror} for all b < a <= 5"
+    leaf(sub, "mirror-triples", mirror_help, cmd_mirror_triples, span_cap=True)
 
-    p = sub.add_parser("formula", help="closed-form densities")
-    kind = p.add_subparsers(dest="kind", required=True)
-
-    q = kind.add_parser("pair22", help="two 2-cell ships")
+    formula = sub.add_parser("formula", help="closed-form densities")
+    kind = formula.add_subparsers(dest="kind", required=True)
+    q = leaf(kind, "pair22", "two 2-cell ships", cmd_formula)
     q.add_argument("family")
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("toughest2", help="toughest n 2-cell ships: n/(n+1)")
+    q = leaf(kind, "toughest2", "toughest n 2-cell ships: n/(n+1)", cmd_formula)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("easiest", help="easiest n k-cell ships: 1/k")
+    q = leaf(kind, "easiest", "easiest n k-cell ships: 1/k", cmd_formula)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("pair22-2d", help="two planar 2-cell ships")
+    q = leaf(kind, "pair22-2d", "two planar 2-cell ships", cmd_formula)
     q.add_argument("--u", required=True, help="vector x,y")
     q.add_argument("--v", required=True, help="vector x,y")
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("mirror3-2d", help="planar 3-cell ship with mirror")
+    q = leaf(kind, "mirror3-2d", "planar 3-cell ship with mirror", cmd_formula, span_cap=True)
     q.add_argument("--u", required=True, help="vector x,y")
     q.add_argument("--v", required=True, help="vector x,y")
-    add_span_cap(q)
-    q.add_argument("--json", action="store_true")
 
-    p.set_defaults(func=cmd_formula)
-
-    p = sub.add_parser("bounds", help="toughest-instance density envelope")
+    p = leaf(sub, "bounds", "toughest-instance density envelope", cmd_bounds)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("construct", help="explicit piercing patterns")
-    kind = p.add_subparsers(dest="kind", required=True)
-
-    q = kind.add_parser("greedy", help="greedy sweep for gap family")
+    construct = sub.add_parser("construct", help="explicit piercing patterns")
+    kind = construct.add_subparsers(dest="kind", required=True)
+    q = leaf(kind, "greedy", "greedy sweep for gap family", cmd_construct)
     q.add_argument("--gaps", required=True, help="comma-separated gaps, e.g. 1,2")
     q.add_argument("--horizon", type=int, default=None)
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("slab", help="slab pattern for [0,a,a+b] and mirror")
+    q = leaf(kind, "slab", "slab pattern for [0,a,a+b] and mirror", cmd_construct)
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--b", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("easiest", help="easiest family and its pattern")
+    q = leaf(kind, "easiest", "easiest family and its pattern", cmd_construct)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = kind.add_parser("ref", help="named reference pattern")
+    q = leaf(kind, "ref", "named reference pattern", cmd_construct)
     q.add_argument("name")
     q.add_argument("--n", type=int, default=None)
-    q.add_argument("--json", action="store_true")
 
-    p.set_defaults(func=cmd_construct)
-
+    # Every leaf ends with the same options, --span-cap (where taken) then --json.
+    for p, span_cap in leaves:
+        if span_cap:
+            p.add_argument(
+                "--span-cap",
+                type=int,
+                default=None,
+                help=f"max reduced window length (default {DEFAULT_SPAN_CAP}, "
+                "or SHIPPIERCE_SPAN_CAP)",
+            )
+        p.add_argument("--json", action="store_true")
     return parser
 
 

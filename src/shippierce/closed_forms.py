@@ -107,14 +107,9 @@ def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
 
 
 def _primitive(u: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Primitive direction w and integer a with u = a*w, first nonzero
-    component of w positive."""
+    """Primitive direction w and integer a with u = a*w."""
     g = math.gcd(abs(u[0]), abs(u[1]))
-    w = (u[0] // g, u[1] // g)
-    if w < (0, 0) or (w[0] == 0 and w[1] < 0):
-        w = (-w[0], -w[1])
-        g = -g
-    return w, g
+    return (u[0] // g, u[1] // g), g
 
 
 def _collinear_multiples(u, v) -> tuple[int, int]:

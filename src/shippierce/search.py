@@ -32,8 +32,6 @@ def ships_with_span(k: int, span_budget: int) -> list[Ship]:
     """All normalized k-cell ships of span at most span_budget, sorted."""
     if k < 1 or span_budget < k:
         return []
-    if k == 1:
-        return [Ship((0,))]
     return [
         Ship((0,) + rest)
         for rest in combinations(range(1, span_budget), k - 1)

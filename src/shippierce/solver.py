@@ -77,15 +77,13 @@ class WindowGraph:
     v >> 1 and (v >> 1) | 2^(s-1).
     """
 
-    def __init__(self, s: int, nodes):
+    def __init__(self, s: int, valid: np.ndarray):
         if s < 1:
             raise ValueError("window length must be positive")
-        words = np.asarray(nodes, dtype=np.int64)
-        if words.size and not (0 <= words.min() and words.max() < (1 << s)):
-            raise ValueError("node words must fit in s bits")
+        if valid.shape != (1 << s,):
+            raise ValueError(f"need a mask of {1 << s} words, got shape {valid.shape}")
         self.s = s
-        self.valid = np.zeros(1 << s, dtype=bool)
-        self.valid[words] = True
+        self.valid = valid
 
     @property
     def nodes(self) -> np.ndarray:
@@ -114,9 +112,7 @@ class WindowGraph:
                 for a in ship.offsets:
                     block[j + a] = 0
                 cells[tuple(block)] = False
-        graph = cls.__new__(cls)
-        graph.s, graph.valid = s, cells.reshape(-1)
-        return graph
+        return cls(s, cells.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,9 @@ def test_two_2ships_2d_collinear_reduces_to_1d(w, a, b):
 def test_three_ship_reflection_2d_examples():
     assert three_ship_reflection_2d((1, 0), (0, 1)) == Fraction(1, 3)
     assert three_ship_reflection_2d((2, 0), (3, 0)) == Fraction(2, 5)
+    # collinear, u opposite to v: {0, -2, 3} and its mirror
+    assert three_ship_reflection_2d((-2, 0), (3, 0)) == Fraction(3, 8)
+    assert three_ship_reflection_2d((0, -2), (0, 3)) == Fraction(3, 8)
     # collinear reduction to {[0,1,2], mirror}, solved exactly
     assert three_ship_reflection_2d((1, 2), (2, 4)) == Fraction(1, 3)
     with pytest.raises(ValueError):

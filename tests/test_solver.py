@@ -55,19 +55,23 @@ def test_window_graph_nodes():
     assert [(v, b) for u, v, b in edges if u == 3] == [(2, 0), (3, 1)]
 
 
+def mask(*bits):
+    return np.array(bits, dtype=bool)
+
+
 @pytest.mark.parametrize(
-    "s, nodes", [(0, ()), (-1, ()), (3, (1, -1)), (3, (0, 8)), (1, (2,))]
+    "s, nodes",
+    [(0, mask(1)), (-1, mask(1)), (3, mask(1, 1, 1, 1)), (3, np.ones(16, dtype=bool)), (1, mask(1))],
 )
 def test_window_graph_rejects_bad_input(s, nodes):
-    # s < 1, a negative word, a word of more than s bits
+    # s < 1, then node masks whose length is not 2^s
     with pytest.raises(ValueError):
         WindowGraph(s, nodes)
 
 
-def test_window_graph_from_node_list():
-    g = WindowGraph(3, [5, 1, 5, 7])
+def test_window_graph_nodes_from_mask():
+    g = WindowGraph(3, mask(0, 1, 0, 0, 0, 1, 0, 1))
     assert g.nodes.tolist() == [1, 5, 7]
-    assert g.valid.tolist() == [False, True, False, False, False, True, False, True]
 
 
 def test_parent_cycle_none_on_a_deep_acyclic_chain():
@@ -117,16 +121,16 @@ def test_window_nodes_match_brute_force():
 
 def test_min_mean_cycle_forced_graphs():
     # single self-loop of weight 1
-    mean, cycle = min_mean_cycle(WindowGraph(1, (1,)))
+    mean, cycle = min_mean_cycle(WindowGraph(1, mask(0, 1)))
     assert (mean, cycle) == (Fraction(1), [1])
     # pure two-cycle with weights 1 and 0
-    mean, cycle = min_mean_cycle(WindowGraph(2, (1, 2)))
+    mean, cycle = min_mean_cycle(WindowGraph(2, mask(0, 1, 1, 0)))
     assert (mean, cycle) == (Fraction(1, 2), [1, 2])
 
 
 def test_min_mean_cycle_rejects_acyclic():
     with pytest.raises(ValueError):
-        min_mean_cycle(WindowGraph(2, (1,)))  # 01 alone has no cycle
+        min_mean_cycle(WindowGraph(2, mask(0, 1, 0, 0)))  # 01 alone has no cycle
 
 
 def test_cycle_enumeration_oracle_on_01_graph():
