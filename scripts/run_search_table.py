@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("workers must be at least 1")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,11 @@ emitted), and whole-family mirroring (the lexicographically smaller of
 a family and its mirror image is emitted).  The per-class extremes of
 the exact solver reproduce the extremes over all families.
 
-A sweep solves its families in one process or across a process pool
-and can keep a resumable results file: one `family<TAB>p/q` line per
-family in lexicographic order, then a '#'-prefixed summary block.
+A sweep solves its families in one process, one exact_density call per
+family, or across a process pool, where each task solves a chunk of
+families with the batch entry point solver.exact_densities.  It can keep
+a resumable results file: one `family<TAB>p/q` line per family in
+lexicographic order, then a '#'-prefixed summary block.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import Iterator
 
 from .constructions import slab_family
 from .core import Family, Ship, format_density, offset_gcd, parse_family, reflect
-from .solver import DEFAULT_SPAN_CAP, exact_density
+from .solver import DEFAULT_SPAN_CAP, exact_densities, exact_density
 
 
 def ships_with_span(k: int, span_budget: int) -> list[Ship]:
@@ -74,14 +76,23 @@ class SearchReport:
     families_raw: int
 
 
-# Families sent to a worker process per task.  One family per task ran
-# 10-25% slower from per-item IPC; larger chunks ran no faster and only
-# delay the lines reaching the results file.
-POOL_CHUNKSIZE = 32
+# Families sent to a worker process per task, which solves them in one
+# batch per reduced span.  Larger chunks make larger batches, with fewer
+# numpy calls per family, but leave a worker idle at the end of a small
+# type and hold a chunk's lines back from the results file until all of
+# it is solved.  On a 2-core x86-64 machine, `perfbench/run.py --workload
+# sweep --seconds 30` gave 3,630-4,080 families/s at 32, 3,870-4,090 at
+# 64 and 3,840-3,870 at 128 (4 runs each), and the default search table
+# at 2 workers took 3.4-4.0 s, 3.1-3.7 s and 3.3-4.0 s (3 runs each).
+POOL_CHUNKSIZE = 64
 
 
 def _density(text: str, span_cap: int) -> Fraction:
     return exact_density(parse_family(text), span_cap=span_cap).density
+
+
+def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
+    return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
 
 
 def _load_results(path: Path, k: int) -> dict[str, Fraction]:
@@ -149,10 +160,10 @@ def compute_extremes(
         if workers > 1 and todo:
             # The pool forks all its workers at the first submit, so it
             # gets no more of them than there are chunks to solve.
-            chunks = math.ceil(len(todo) / POOL_CHUNKSIZE)
-            pool = ProcessPoolExecutor(max_workers=min(workers, chunks))
+            chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
             stack.callback(pool.shutdown, cancel_futures=True)
-            solved = pool.map(_density, todo, repeat(span_cap), chunksize=POOL_CHUNKSIZE)
+            solved = chain.from_iterable(pool.map(_densities, chunks, repeat(span_cap)))
         else:
             # One worker solves in this process, so wrappers installed on
             # this module's functions (tracing, tests) see every call.

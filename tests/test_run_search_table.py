@@ -1,6 +1,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_search_table.py"
 
 
@@ -29,3 +31,14 @@ def test_quick_table_is_identical_across_workers_and_reruns(tmp_path, capsys):
     ]
     assert out[1] == out[2]
     assert "Lower bounds on the toughest-instance density" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused_before_any_output(tmp_path, capsys, workers):
+    main = runpy.run_path(str(SCRIPT))["main"]
+    out_dir = tmp_path / "table"
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--workers", workers, "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -1,5 +1,6 @@
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,18 @@ def test_workers_give_byte_identical_results(tmp_path, n, k, budget):
     rep_par = compute_extremes(n, k, budget, results_path=par, workers=2)
     assert rep_seq == rep_par
     assert seq.read_text() == par.read_text()
+
+
+GOLDEN_RESULTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "results"
+
+
+@pytest.mark.parametrize("n, k, budget", [(2, 2, 9), (2, 3, 9), (2, 4, 9), (3, 2, 8), (3, 3, 8)])
+def test_pool_batches_match_golden_results(tmp_path, n, k, budget):
+    # Pool workers solve same-span families as one batch; their results
+    # files must equal those the one-family-at-a-time solver wrote.
+    name = f"type_n{n}_k{k}_span{budget}.txt"
+    compute_extremes(n, k, budget, results_path=tmp_path / name, workers=2)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
 
 
 def test_pool_gets_no_more_workers_than_chunks(monkeypatch):

@@ -9,9 +9,11 @@ from shippierce import solver
 from shippierce.core import Family, Ship, make_family, parse_family, reflect, scale, scale_reduce
 from shippierce.search import enumerate_families
 from shippierce.solver import (
+    BYTES_PER_WINDOW,
     SpanCapError,
     WindowGraph,
     _parent_cycle,
+    exact_densities,
     exact_density,
     min_mean_cycle,
 )
@@ -78,7 +80,7 @@ def test_parent_cycle_none_on_a_deep_acyclic_chain():
     # Node i points at i - 1 and node 0 is the root: a chain of depth 99
     # reaches the sentinel only after 7 doubling passes.
     parent = np.arange(-1, 99)
-    assert _parent_cycle(parent) is None
+    assert _parent_cycle(parent, 100) == [None]
 
 
 def test_parent_cycle_found_behind_a_long_tail():
@@ -87,9 +89,15 @@ def test_parent_cycle_found_behind_a_long_tail():
     parent = np.full(40, -1)
     parent[:30] = np.arange(1, 31)
     parent[30:35] = [31, 32, 33, 34, 30]
-    cycle = _parent_cycle(parent)
+    [cycle] = _parent_cycle(parent, 40)
     assert sorted(cycle) == [30, 31, 32, 33, 34]
     assert [int(parent[u]) for u in cycle] == cycle[1:] + cycle[:1]
+    # Behind an acyclic row and ahead of a one-word self-loop, each row's
+    # cycle comes back in that row's own word indices.
+    loop = np.full(40, -1)
+    loop[7] = 87
+    stacked = np.concatenate([np.arange(-1, 39), np.where(parent >= 0, parent + 40, -1), loop])
+    assert _parent_cycle(stacked, 40) == [None, cycle, [7]]
 
 
 # Every canonical family of at most 2 ships of at most 3 cells within
@@ -256,6 +264,52 @@ def test_memory_guard_refuses_before_allocating():
     huge = make_family([[0, 1, 34]])  # span 35: guard trips before arange
     with pytest.raises(MemoryGuardError):
         WindowGraph.from_family(huge)
+
+
+# Every canonical family of two 3-cell ships within span 7 (reduced
+# spans 4 to 7), some of them scaled by 2 or 3, and families with a
+# single-cell ship.
+BATCH_FAMILIES = [str(f) for f in enumerate_families(2, 3, 7)]
+BATCH_FAMILIES += [str(scale(parse_family(t), d)) for t, d in zip(BATCH_FAMILIES[::9], [2, 3] * 9)]
+BATCH_FAMILIES += ["0", "4;0,1", "0;0,2,5"]
+
+
+def test_batch_densities_equal_exact_density():
+    families = [parse_family(t) for t in BATCH_FAMILIES]
+    assert {scale_reduce(f)[0].span for f in families} == {1, 2, 4, 5, 6, 7}
+    assert any(scale_reduce(f)[1] > 1 for f in families)
+    assert exact_densities(families) == [exact_density(f).density for f in families]
+    with pytest.raises(SpanCapError) as exc:
+        exact_densities(families, span_cap=6)
+    assert exc.value.required_span == 7
+
+
+def test_batch_is_split_by_the_memory_guard(monkeypatch):
+    # With room for three span-7 window graphs, no stack has more rows.
+    stacks = []
+    real = solver._min_means
+
+    def recording(valid):
+        stacks.append(valid.shape)
+        return real(valid)
+
+    monkeypatch.setattr(solver, "_min_means", recording)
+    monkeypatch.setattr(solver, "MEMORY_GUARD_BYTES", 3 * (1 << 7) * BYTES_PER_WINDOW)
+    families = [parse_family(t) for t in BATCH_FAMILIES]
+    assert exact_densities(families) == [exact_density(f).density for f in families]
+    assert all(rows * n * BYTES_PER_WINDOW <= solver.MEMORY_GUARD_BYTES for rows, n in stacks)
+    assert [rows for rows, n in stacks if n == 1 << 7].count(3) > 1
+
+
+def test_batch_reverses_parent_cycles_into_walk_order():
+    # Parent pointers run backwards along a walk; read forwards, a parent
+    # cycle spells a pattern for the mirror image.  None of these
+    # families is its own mirror image, and the last parent cycle of
+    # each, read forwards, misses a ship translate.
+    texts = ["0,1,3,8", "0,1,4,6", "0,2,3,7", "0,1,3;0,2,6", "0,2,3;0,1,4", "0,2,5;0,3,7"]
+    families = [parse_family(t) for t in texts]
+    assert all(reflect(f) != f for f in families)
+    assert exact_densities(families) == [exact_density(f).density for f in families]
 
 
 def test_span_cap_refusal_reports_required_span():
