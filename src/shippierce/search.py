@@ -5,13 +5,17 @@ density-preserving symmetries: translation (ships are normalized),
 family-wide scaling (only families whose offsets have gcd 1 are
 emitted), and whole-family mirroring (the lexicographically smaller of
 a family and its mirror image is emitted).  The per-class extremes of
-the exact solver reproduce the extremes over all families.
+the exact solver reproduce the extremes over all families.  The
+enumeration works on indices into the sorted list of ships, so both
+tests are made on small int tuples and a Family is built only for the
+families emitted.
 
 A sweep solves its families in one process, one exact_density call per
-family, or across a process pool, where each task solves a chunk of
-families with the batch entry point solver.exact_densities.  It can keep
-a resumable results file: one `family<TAB>p/q` line per family in
-lexicographic order, then a '#'-prefixed summary block.
+family, or, when they fill at least two chunks, across a process pool,
+where each task solves a chunk of families with the batch entry point
+solver.exact_densities.  It can keep a resumable results file: one
+`family<TAB>p/q` line per family in lexicographic order, then a
+'#'-prefixed summary block.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .constructions import slab_family
-from .core import Family, Ship, format_density, offset_gcd, parse_family, reflect
+from .core import Family, Ship, format_density, offset_gcd, parse_family
 from .solver import DEFAULT_SPAN_CAP, exact_densities, exact_density
 
 
@@ -50,17 +54,32 @@ def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
 
     Emitted exactly once per symmetry class: offsets have family-wide
     gcd 1, and a family is emitted only if it is <= its mirror image.
+
+    The enumeration runs over index combinations into the sorted list
+    ships_with_span(k, span_budget), with each ship's mirror index and
+    offset gcd computed once.  This gives the same families in the same
+    order as testing each combination of ships directly:
+    - mirroring a k-cell ship keeps its span, so it maps the list onto
+      itself and every mirror ship has an index;
+    - mirroring is one-to-one and the list is sorted, so the sorted
+      mirror index tuple is the mirror family, and comparing it with
+      the combination compares the mirror family with the family;
+    - gcd is associative, so the family-wide gcd is the gcd of the
+      ships' gcds.
+    A Family is built only for the combinations that are emitted.
     """
     if n < 1 or k < 1 or span_budget < k:
         raise ValueError("need n >= 1, k >= 1, span_budget >= k")
     ships = ships_with_span(k, span_budget)
-    for combo in combinations(ships, n):
-        if offset_gcd(combo) > 1:
+    index = {ship: i for i, ship in enumerate(ships)}
+    mirror = [index[ship.reflect()] for ship in ships]
+    gcds = [offset_gcd([ship]) for ship in ships]
+    for combo in combinations(range(len(ships)), n):
+        if math.gcd(*[gcds[i] for i in combo]) > 1:
             continue
-        family = Family(combo)
-        if reflect(family) < family:
+        if tuple(sorted([mirror[i] for i in combo])) < combo:
             continue
-        yield family
+        yield Family(tuple(ships[i] for i in combo))
 
 
 @dataclass(frozen=True)
@@ -95,27 +114,39 @@ def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
     return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
 
 
+def _checked_density(frac: str, lowest: Fraction) -> Fraction | None:
+    """The density frac names if format_density writes it so and it lies
+    in [lowest, 1]; otherwise None."""
+    try:
+        num, den = frac.split("/")
+        density = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        return None
+    if format_density(density) == frac and lowest <= density <= 1:
+        return density
+    return None
+
+
 def _load_results(path: Path, k: int) -> dict[str, Fraction]:
     """Per-family densities of a results file that are safe to reuse.
 
     A line without its newline may have been cut short by a kill and is
     not read.  A density is kept only if format_density writes it so
     (reduced, positive denominator) and it lies in [1/k, 1], where every
-    density of k-cell ships lies.
+    density of k-cell ships lies.  A file holds few distinct density
+    strings, so each is checked once.
     """
     cached: dict[str, Fraction] = {}
     if not path.exists():
         return cached
     lowest = Fraction(1, k)
+    checked: dict[str, Fraction | None] = {}
     for line in path.read_text().split("\n")[:-1]:
         fam_text, _, frac = line.partition("\t")
-        try:
-            num, den = frac.split("/")
-            density = Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            continue
-        if format_density(density) == frac and lowest <= density <= 1:
-            cached[fam_text] = density
+        if frac not in checked:
+            checked[frac] = _checked_density(frac, lowest)
+        if checked[frac] is not None:
+            cached[fam_text] = checked[frac]
     return cached
 
 
@@ -157,7 +188,7 @@ def compute_extremes(
 
     with ExitStack() as stack:
         out = stack.enter_context(open(results_path, "a")) if results_path else None
-        if workers > 1 and todo:
+        if workers > 1 and len(todo) > POOL_CHUNKSIZE:
             # The pool forks all its workers at the first submit, so it
             # gets no more of them than there are chunks to solve.
             chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
@@ -166,7 +197,9 @@ def compute_extremes(
             solved = chain.from_iterable(pool.map(_densities, chunks, repeat(span_cap)))
         else:
             # One worker solves in this process, so wrappers installed on
-            # this module's functions (tracing, tests) see every call.
+            # this module's functions (tracing, tests) see every call.  So
+            # does a single chunk: only one pool worker could run on it,
+            # and the fork costs more than the chunk's solve.
             solved = map(_density, todo, repeat(span_cap))
         for i, (text, density) in enumerate(zip(todo, solved), 1):
             densities[text] = density

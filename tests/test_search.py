@@ -1,12 +1,14 @@
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import shippierce.search
 from shippierce.closed_forms import density_bounds
-from shippierce.core import make_family, parse_family, reflect, scale_reduce
+from shippierce.core import Family, make_family, offset_gcd, parse_family, reflect, scale_reduce
 from shippierce.search import (
     check_mirror_triples,
     compute_extremes,
@@ -35,6 +37,21 @@ def test_enumerate_emits_canonical_forms_only():
         assert scale_reduce(f) == (f, 1)
         assert len(f.ships) == 2
         assert all(s.size == 3 and s.span <= 7 for s in f.ships)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_equals_the_definition(n):
+    # Straight from the definition: combinations of sorted ships, with
+    # family-wide offset gcd at most 1, that are <= their mirror image.
+    # k = 1 and small budgets leave fewer ships than n.
+    for k in range(1, 6):
+        for budget in range(k, 9):
+            reference = []
+            for combo in combinations(ships_with_span(k, budget), n):
+                family = Family(combo)
+                if offset_gcd(combo) <= 1 and not reflect(family) < family:
+                    reference.append(family)
+            assert list(enumerate_families(n, k, budget)) == reference, (n, k, budget)
 
 
 def test_enumerate_is_deterministic_stream():
@@ -98,7 +115,10 @@ def test_search_monotone_in_span_budget():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_results_file_roundtrip_and_resume(tmp_path, workers):
+def test_results_file_roundtrip_and_resume(tmp_path, monkeypatch, workers):
+    # 9 families, and 7 left to solve after the truncation: chunks of 4
+    # send both runs through the pool at workers=2.
+    monkeypatch.setattr(shippierce.search, "POOL_CHUNKSIZE", 4)
     out = tmp_path / "results.txt"
     rep1 = compute_extremes(2, 2, 6, results_path=out, workers=workers)
     first = out.read_text()
@@ -134,6 +154,39 @@ def test_invalid_cached_lines_are_solved_again(tmp_path):
     assert compute_extremes(1, 10, 10, results_path=cut).max_density == Fraction(1, 10)
 
 
+def test_repeated_invalid_densities_are_each_solved_again(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 3, 7, results_path=clean)
+    lines = clean.read_text().splitlines()[:rep_clean.families_examined]
+    # The commonest density stays valid on its lines; 2/4 (not reduced)
+    # and 7/3 (above 1) each replace it on several others.
+    common, _ = Counter(line.split("\t")[1] for line in lines).most_common(1)[0]
+    seeded_lines, kept, bad = [], set(), set()
+    for i, line in enumerate(lines):
+        text, frac = line.split("\t")
+        if frac == common and i % 3 == 0:
+            kept.add(text)
+        else:
+            frac = "2/4" if i % 2 else "7/3"
+            bad.add(text)
+        seeded_lines.append(f"{text}\t{frac}")
+    assert len(kept) >= 3 and len(bad) >= 6
+    seeded = tmp_path / "seeded.txt"
+    seeded.write_text("\n".join(seeded_lines) + "\n")
+
+    real = shippierce.search.exact_density
+    solved = []
+
+    def recording(f, span_cap):
+        solved.append(str(f))
+        return real(f, span_cap=span_cap)
+
+    monkeypatch.setattr(shippierce.search, "exact_density", recording)
+    assert compute_extremes(2, 3, 7, results_path=seeded) == rep_clean
+    assert sorted(solved) == sorted(bad)
+    assert seeded.read_bytes() == clean.read_bytes()
+
+
 def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
     out = tmp_path / "results.txt"
     texts = [str(f) for f in enumerate_families(2, 3, 7)]
@@ -163,6 +216,9 @@ def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_lines_are_appended_in_enumeration_order(tmp_path, monkeypatch, workers):
+    # 55 families in chunks of 8 reach the pool at workers=2.
+    monkeypatch.setattr(shippierce.search, "POOL_CHUNKSIZE", 8)
+
     def no_rewrite(*args):
         raise RuntimeError("killed before the final rewrite")
 
@@ -175,7 +231,9 @@ def test_lines_are_appended_in_enumeration_order(tmp_path, monkeypatch, workers)
 
 
 @pytest.mark.parametrize("n, k, budget", [(2, 2, 7), (2, 3, 7)])
-def test_workers_give_byte_identical_results(tmp_path, n, k, budget):
+def test_workers_give_byte_identical_results(tmp_path, monkeypatch, n, k, budget):
+    # 11 and 55 families in chunks of 8 reach the pool at workers=2.
+    monkeypatch.setattr(shippierce.search, "POOL_CHUNKSIZE", 8)
     seq = tmp_path / "seq.txt"
     par = tmp_path / "par.txt"
     rep_seq = compute_extremes(n, k, budget, results_path=seq, workers=1)
@@ -191,12 +249,13 @@ GOLDEN_RESULTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / 
 def test_pool_batches_match_golden_results(tmp_path, n, k, budget):
     # Pool workers solve same-span families as one batch; their results
     # files must equal those the one-family-at-a-time solver wrote.
+    # (2,2,9) and (3,2,8) fit one chunk and are solved in this process.
     name = f"type_n{n}_k{k}_span{budget}.txt"
     compute_extremes(n, k, budget, results_path=tmp_path / name, workers=2)
     assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
 
 
-def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
+def record_pool_sizes(monkeypatch) -> list:
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -205,10 +264,23 @@ def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(shippierce.search, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_one_chunk_starts_no_pool(monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
     report = compute_extremes(2, 2, 7, workers=4)
     assert report.families_examined == 11  # one chunk of POOL_CHUNKSIZE
     assert report == compute_extremes(2, 2, 7, workers=1)
-    assert sizes == [1]
+    assert sizes == []
+
+
+def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    report = compute_extremes(2, 3, 9, workers=4)
+    assert report.families_examined == 189  # three chunks of POOL_CHUNKSIZE
+    assert report == compute_extremes(2, 3, 9, workers=1)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
