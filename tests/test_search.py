@@ -246,10 +246,11 @@ GOLDEN_RESULTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / 
 
 
 @pytest.mark.parametrize("n, k, budget", [(2, 2, 9), (2, 3, 9), (2, 4, 9), (3, 2, 8), (3, 3, 8)])
-def test_pool_batches_match_golden_results(tmp_path, n, k, budget):
+def test_pool_batches_match_golden_results(tmp_path, monkeypatch, n, k, budget):
     # Pool workers solve same-span families as one batch; their results
     # files must equal those the one-family-at-a-time solver wrote.
-    # (2,2,9) and (3,2,8) fit one chunk and are solved in this process.
+    # Chunks of 8 put all five types (21 families and up) in the pool.
+    monkeypatch.setattr(shippierce.search, "POOL_CHUNKSIZE", 8)
     name = f"type_n{n}_k{k}_span{budget}.txt"
     compute_extremes(n, k, budget, results_path=tmp_path / name, workers=2)
     assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
