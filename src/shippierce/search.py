@@ -7,8 +7,12 @@ emitted), and whole-family mirroring (the lexicographically smaller of
 a family and its mirror image is emitted).  The per-class extremes of
 the exact solver reproduce the extremes over all families.  The
 enumeration works on indices into the sorted list of ships, so both
-tests are made on small int tuples and a Family is built only for the
-families emitted.
+tests are made on small int tuples.
+
+A sweep builds no object per family: each family's text is joined from
+the texts of its ships, and each density is kept as its `p/q` string.
+The max and min come from the distinct density strings, one Fraction
+each, and a Family is built only for the two witnesses.
 
 A sweep solves its families in one process, one exact_density call per
 family, or, when they fill at least two chunks, across a process pool,
@@ -21,6 +25,7 @@ solver.exact_densities.  It can keep a resumable results file: one
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -49,16 +54,18 @@ def raw_family_count(n: int, k: int, span_budget: int) -> int:
     return math.comb(len(ships_with_span(k, span_budget)), n)
 
 
-def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
-    """Canonical families of n distinct k-cell ships, lexicographically.
+def _canonical_combos(
+    n: int, k: int, span_budget: int
+) -> tuple[list[Ship], list[tuple[int, ...]]]:
+    """The ships of ships_with_span(k, span_budget), and the index
+    combinations into that list of the canonical families, in
+    lexicographic order.
 
-    Emitted exactly once per symmetry class: offsets have family-wide
-    gcd 1, and a family is emitted only if it is <= its mirror image.
-
-    The enumeration runs over index combinations into the sorted list
-    ships_with_span(k, span_budget), with each ship's mirror index and
-    offset gcd computed once.  This gives the same families in the same
-    order as testing each combination of ships directly:
+    A combination is kept if its ships' offsets have family-wide gcd 1
+    and the family is <= its mirror image.  Each ship's mirror index and
+    offset gcd are computed once, and both tests are made on the index
+    tuple.  This keeps the same combinations as testing each family of
+    ships directly:
     - mirroring a k-cell ship keeps its span, so it maps the list onto
       itself and every mirror ship has an index;
     - mirroring is one-to-one and the list is sorted, so the sorted
@@ -66,19 +73,32 @@ def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
       the combination compares the mirror family with the family;
     - gcd is associative, so the family-wide gcd is the gcd of the
       ships' gcds.
-    A Family is built only for the combinations that are emitted.
     """
     if n < 1 or k < 1 or span_budget < k:
         raise ValueError("need n >= 1, k >= 1, span_budget >= k")
     ships = ships_with_span(k, span_budget)
     index = {ship: i for i, ship in enumerate(ships)}
-    mirror = [index[ship.reflect()] for ship in ships]
-    gcds = [offset_gcd([ship]) for ship in ships]
-    for combo in combinations(range(len(ships)), n):
-        if math.gcd(*[gcds[i] for i in combo]) > 1:
-            continue
-        if tuple(sorted([mirror[i] for i in combo])) < combo:
-            continue
+    mirror = [index[ship.reflect()] for ship in ships].__getitem__
+    gcd = [offset_gcd([ship]) for ship in ships].__getitem__
+    combos = [
+        combo
+        for combo in combinations(range(len(ships)), n)
+        if tuple(sorted(map(mirror, combo))) >= combo
+        and math.gcd(*map(gcd, combo)) <= 1
+    ]
+    return ships, combos
+
+
+def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
+    """Canonical families of n distinct k-cell ships, lexicographically.
+
+    Emitted exactly once per symmetry class: offsets have family-wide
+    gcd 1, and a family is emitted only if it is <= its mirror image.
+    The tests run on index combinations (see _canonical_combos), and a
+    Family is built only for the combinations that are emitted.
+    """
+    ships, combos = _canonical_combos(n, k, span_budget)
+    for combo in combos:
         yield Family(tuple(ships[i] for i in combo))
 
 
@@ -114,21 +134,19 @@ def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
     return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
 
 
-def _checked_density(frac: str, lowest: Fraction) -> Fraction | None:
-    """The density frac names if format_density writes it so and it lies
-    in [lowest, 1]; otherwise None."""
+def _is_valid_density(frac: str, lowest: Fraction) -> bool:
+    """Whether frac is a p/q that format_density writes so and that lies
+    in [lowest, 1]."""
     try:
         num, den = frac.split("/")
         density = Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
-        return None
-    if format_density(density) == frac and lowest <= density <= 1:
-        return density
-    return None
+        return False
+    return format_density(density) == frac and lowest <= density <= 1
 
 
-def _load_results(path: Path, k: int) -> dict[str, Fraction]:
-    """Per-family densities of a results file that are safe to reuse.
+def _load_results(path: Path, k: int) -> dict[str, str]:
+    """Per-family density strings of a results file that are safe to reuse.
 
     A line without its newline may have been cut short by a kill and is
     not read.  A density is kept only if format_density writes it so
@@ -136,17 +154,17 @@ def _load_results(path: Path, k: int) -> dict[str, Fraction]:
     density of k-cell ships lies.  A file holds few distinct density
     strings, so each is checked once.
     """
-    cached: dict[str, Fraction] = {}
+    cached: dict[str, str] = {}
     if not path.exists():
         return cached
     lowest = Fraction(1, k)
-    checked: dict[str, Fraction | None] = {}
+    valid: dict[str, bool] = {}
     for line in path.read_text().split("\n")[:-1]:
         fam_text, _, frac = line.partition("\t")
-        if frac not in checked:
-            checked[frac] = _checked_density(frac, lowest)
-        if checked[frac] is not None:
-            cached[fam_text] = checked[frac]
+        if frac not in valid:
+            valid[frac] = _is_valid_density(frac, lowest)
+        if valid[frac]:
+            cached[fam_text] = frac
     return cached
 
 
@@ -161,14 +179,20 @@ def compute_extremes(
 ) -> SearchReport:
     """Exact max/min of the solver density over enumerate_families.
 
-    Witnesses are the lexicographically smallest achievers, so reports
-    are identical across runs and worker counts.  If results_path is
-    given, valid densities already there are reused (see _load_results),
-    and each newly solved family is appended as a `family<TAB>p/q` line
-    in enumeration order at every worker count, flushed every
-    checkpoint_every lines, so a killed sweep keeps its flushed lines.
-    At the end the file is rewritten in canonical order with a summary
-    block.
+    Families are handled as texts, each joined from the texts of its
+    ships (see _canonical_combos), and densities as format_density
+    strings: those reused from results_path, and each newly solved
+    density formatted once.  The max and min are found over the
+    distinct strings, with one Fraction each.  Witnesses are the
+    lexicographically smallest achievers, so reports are identical
+    across runs and worker counts; a Family is built only for them.
+
+    If results_path is given, valid densities already there are reused
+    (see _load_results), and each newly solved family is appended as a
+    `family<TAB>p/q` line in enumeration order at every worker count,
+    flushed every checkpoint_every lines, so a killed sweep keeps its
+    flushed lines.  At the end the file is replaced by one in canonical
+    order with a summary block.
     """
     if span_budget > span_cap:
         raise ValueError("span_budget exceeds span_cap")
@@ -176,12 +200,13 @@ def compute_extremes(
         raise ValueError("checkpoint_every must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    families = list(enumerate_families(n, k, span_budget))
-    if not families:
+    ships, combos = _canonical_combos(n, k, span_budget)
+    if not combos:
         raise ValueError(
             f"no families of {n} distinct {k}-cell ships with span <= {span_budget}"
         )
-    texts = [str(f) for f in families]
+    ship_text = [str(ship) for ship in ships].__getitem__
+    texts = [";".join(map(ship_text, combo)) for combo in combos]
 
     densities = _load_results(Path(results_path), k) if results_path else {}
     todo = [t for t in texts if t not in densities]
@@ -202,38 +227,42 @@ def compute_extremes(
             # and the fork costs more than the chunk's solve.
             solved = map(_density, todo, repeat(span_cap))
         for i, (text, density) in enumerate(zip(todo, solved), 1):
-            densities[text] = density
+            frac = densities[text] = format_density(density)
             if out:
-                out.write(f"{text}\t{format_density(density)}\n")
+                out.write(f"{text}\t{frac}\n")
                 if i % checkpoint_every == 0:
                     out.flush()
 
-    max_d = max_w = min_d = min_w = None
-    for text, family in zip(texts, families):
-        d = densities[text]
-        if max_d is None or d > max_d:
-            max_d, max_w = d, family
-        if min_d is None or d < min_d:
-            min_d, min_w = d, family
+    fracs = [densities[t] for t in texts]
+    # Distinct strings are distinct values: each is reduced.
+    value = {frac: Fraction(frac) for frac in set(fracs)}
+    max_frac = max(value, key=value.__getitem__)
+    min_frac = min(value, key=value.__getitem__)
+
+    def witness(frac: str) -> Family:
+        return Family(tuple(ships[i] for i in combos[fracs.index(frac)]))
 
     report = SearchReport(
         n=n,
         k=k,
         span_budget=span_budget,
-        max_density=max_d,
-        max_witness=max_w,
-        min_density=min_d,
-        min_witness=min_w,
-        families_examined=len(families),
+        max_density=value[max_frac],
+        max_witness=witness(max_frac),
+        min_density=value[min_frac],
+        min_witness=witness(min_frac),
+        families_examined=len(combos),
         families_raw=raw_family_count(n, k, span_budget),
     )
     if results_path:
-        _write_results(Path(results_path), texts, densities, report)
+        _write_results(Path(results_path), texts, fracs, report)
     return report
 
 
-def _write_results(path: Path, texts, densities, report: SearchReport) -> None:
-    lines = [f"{t}\t{format_density(densities[t])}" for t in texts]
+def _write_results(path: Path, texts, fracs, report: SearchReport) -> None:
+    """Replace path by its canonical form: one line per family, then the
+    summary block.  The text goes to a sibling file first, which is then
+    renamed onto path, so a kill or an error leaves path as it was."""
+    lines = [f"{t}\t{frac}" for t, frac in zip(texts, fracs)]
     lines.append("# summary")
     lines.append(f"# n {report.n} k {report.k} span_budget {report.span_budget}")
     lines.append(
@@ -245,7 +274,12 @@ def _write_results(path: Path, texts, densities, report: SearchReport) -> None:
     lines.append(
         f"# min {format_density(report.min_density)} witness {report.min_witness}"
     )
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)

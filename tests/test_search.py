@@ -1,3 +1,5 @@
+import os
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -187,6 +189,42 @@ def test_repeated_invalid_densities_are_each_solved_again(tmp_path, monkeypatch)
     assert seeded.read_bytes() == clean.read_bytes()
 
 
+def test_tie_across_cached_and_solved_lines_keeps_first_achiever(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 3, 7, results_path=clean)
+    lines = clean.read_text().splitlines()[:rep_clean.families_examined]
+    top = f"{rep_clean.max_density.numerator}/{rep_clean.max_density.denominator}"
+    achievers = [line.split("\t")[0] for line in lines if line.endswith("\t" + top)]
+    assert achievers[0] == str(rep_clean.max_witness) and len(achievers) >= 2
+    # The first achiever is solved again and appended after the later
+    # ones, which stay cached; it must still be the witness.
+    seeded = tmp_path / "seeded.txt"
+    kept = [line for line in lines if not line.startswith(achievers[0] + "\t")]
+    seeded.write_text("".join(line + "\n" for line in kept))
+
+    real = shippierce.search.exact_density
+    solved = []
+
+    def recording(f, span_cap):
+        solved.append(str(f))
+        return real(f, span_cap=span_cap)
+
+    monkeypatch.setattr(shippierce.search, "exact_density", recording)
+    assert compute_extremes(2, 3, 7, results_path=seeded) == rep_clean
+    assert solved == [achievers[0]]
+    assert seeded.read_bytes() == clean.read_bytes()
+
+
+def test_density_one_is_written_as_p_over_q(tmp_path, monkeypatch):
+    # One-cell ships need every cell pierced; 1 must be written "1/1"
+    # for the line to be reused.
+    out = tmp_path / "results.txt"
+    compute_extremes(1, 1, 3, results_path=out)
+    assert out.read_text().splitlines()[0] == "0\t1/1"
+    monkeypatch.setattr(shippierce.search, "exact_density", None)
+    assert compute_extremes(1, 1, 3, results_path=out).max_density == 1
+
+
 def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
     out = tmp_path / "results.txt"
     texts = [str(f) for f in enumerate_families(2, 3, 7)]
@@ -211,6 +249,26 @@ def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
     assert compute_extremes(2, 3, 7, results_path=out) == compute_extremes(
         2, 3, 7, results_path=clean
     )
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def test_failed_rewrite_keeps_appended_lines(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 3, 7, results_path=clean)
+    solved_lines = clean.read_text().splitlines()[:rep_clean.families_examined]
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    out = tmp_path / "results.txt"
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            compute_extremes(2, 3, 7, results_path=out)
+    assert out.read_text().splitlines() == solved_lines
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.txt", "results.txt"]
+
+    assert compute_extremes(2, 3, 7, results_path=out) == rep_clean
     assert out.read_bytes() == clean.read_bytes()
 
 
@@ -254,6 +312,31 @@ def test_pool_batches_match_golden_results(tmp_path, monkeypatch, n, k, budget):
     name = f"type_n{n}_k{k}_span{budget}.txt"
     compute_extremes(n, k, budget, results_path=tmp_path / name, workers=2)
     assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
+
+
+def test_golden_table_resumes_without_solving(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cached family was solved again")
+
+    monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
+    monkeypatch.setattr(shippierce.search, "_densities", no_solve)
+    goldens = sorted(GOLDEN_RESULTS.glob("type_*.txt"))
+    assert len(goldens) == 15
+    for golden in goldens:
+        name = re.fullmatch(r"type_n(\d+)_k(\d+)_span(\d+)\.txt", golden.name)
+        n, k, budget = map(int, name.groups())
+        path = tmp_path / golden.name
+        path.write_bytes(golden.read_bytes())
+        report = compute_extremes(n, k, budget, results_path=path, workers=1)
+        assert path.read_bytes() == golden.read_bytes(), golden.name
+        expected = [
+            ("max", report.max_density, report.max_witness),
+            ("min", report.min_density, report.min_witness),
+        ]
+        for line, (tag, density, witness) in zip(golden.read_text().splitlines()[-2:], expected):
+            _, got_tag, frac, _, text = line.split(" ")
+            got = (got_tag, Fraction(frac), parse_family(text))
+            assert got == (tag, density, witness), golden.name
 
 
 def record_pool_sizes(monkeypatch) -> list:
