@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Family, Ship, normalize_ship, normalize_ship_2d
-from .solver import DEFAULT_SPAN_CAP, exact_density
+from .solver import DEFAULT_SPAN_CAP, exact_densities
 from .verifier import Pattern2D
 
 
@@ -152,7 +152,7 @@ def three_ship_reflection_2d(
     a, b = _collinear_multiples(u, v)
     ship = normalize_ship([0, a, b])
     family = Family((ship, ship.reflect()))
-    return exact_density(family, span_cap=span_cap).density
+    return exact_densities([family], span_cap=span_cap)[0]
 
 
 def three_ship_reflection_2d_witness(

@@ -138,15 +138,15 @@ def _is_valid_density(frac: str, lowest: Fraction) -> bool:
     """Whether frac is a p/q that format_density writes so and that lies
     in [lowest, 1]."""
     try:
-        num, den = frac.split("/")
-        density = Fraction(int(num), int(den))
+        density = Fraction(frac)
     except (ValueError, ZeroDivisionError):
         return False
     return format_density(density) == frac and lowest <= density <= 1
 
 
-def _load_results(path: Path, k: int) -> dict[str, str]:
-    """Per-family density strings of a results file that are safe to reuse.
+def _load_results(path: Path, k: int) -> tuple[str, dict[str, str]]:
+    """The text of a results file ("" if there is none), and the
+    per-family density strings in it that are safe to reuse.
 
     A line without its newline may have been cut short by a kill and is
     not read.  A density is kept only if format_density writes it so
@@ -156,16 +156,17 @@ def _load_results(path: Path, k: int) -> dict[str, str]:
     """
     cached: dict[str, str] = {}
     if not path.exists():
-        return cached
+        return "", cached
+    text = path.read_text()
     lowest = Fraction(1, k)
     valid: dict[str, bool] = {}
-    for line in path.read_text().split("\n")[:-1]:
+    for line in text.split("\n")[:-1]:
         fam_text, _, frac = line.partition("\t")
         if frac not in valid:
             valid[frac] = _is_valid_density(frac, lowest)
         if valid[frac]:
             cached[fam_text] = frac
-    return cached
+    return text, cached
 
 
 def compute_extremes(
@@ -191,8 +192,10 @@ def compute_extremes(
     (see _load_results), and each newly solved family is appended as a
     `family<TAB>p/q` line in enumeration order at every worker count,
     flushed every checkpoint_every lines, so a killed sweep keeps its
-    flushed lines.  At the end the file is replaced by one in canonical
-    order with a summary block.
+    flushed lines.  A last line cut off without its newline is closed
+    first, so the first appended line is not glued onto it.  At the end
+    the file is replaced by one in canonical order with a summary
+    block, unless it already holds exactly that.
     """
     if span_budget > span_cap:
         raise ValueError("span_budget exceeds span_cap")
@@ -208,11 +211,13 @@ def compute_extremes(
     ship_text = [str(ship) for ship in ships].__getitem__
     texts = [";".join(map(ship_text, combo)) for combo in combos]
 
-    densities = _load_results(Path(results_path), k) if results_path else {}
+    old_text, densities = _load_results(Path(results_path), k) if results_path else ("", {})
     todo = [t for t in texts if t not in densities]
 
     with ExitStack() as stack:
         out = stack.enter_context(open(results_path, "a")) if results_path else None
+        if old_text and not old_text.endswith("\n"):
+            out.write("\n")
         if workers > 1 and len(todo) > POOL_CHUNKSIZE:
             # The pool forks all its workers at the first submit, so it
             # gets no more of them than there are chunks to solve.
@@ -251,16 +256,17 @@ def compute_extremes(
         min_density=value[min_frac],
         min_witness=witness(min_frac),
         families_examined=len(combos),
-        families_raw=raw_family_count(n, k, span_budget),
+        families_raw=math.comb(len(ships), n),
     )
     if results_path:
-        _write_results(Path(results_path), texts, fracs, report)
+        _write_results(Path(results_path), texts, fracs, report, old_text)
     return report
 
 
-def _write_results(path: Path, texts, fracs, report: SearchReport) -> None:
+def _write_results(path: Path, texts, fracs, report: SearchReport, old_text: str) -> None:
     """Replace path by its canonical form: one line per family, then the
-    summary block.  The text goes to a sibling file first, which is then
+    summary block, unless old_text (path before the sweep) is that
+    already.  The text goes to a sibling file first, which is then
     renamed onto path, so a kill or an error leaves path as it was."""
     lines = [f"{t}\t{frac}" for t, frac in zip(texts, fracs)]
     lines.append("# summary")
@@ -274,9 +280,12 @@ def _write_results(path: Path, texts, fracs, report: SearchReport) -> None:
     lines.append(
         f"# min {format_density(report.min_density)} witness {report.min_witness}"
     )
+    text = "\n".join(lines) + "\n"
+    if text == old_text:
+        return
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -307,28 +316,17 @@ def check_mirror_triples(span_cap: int = DEFAULT_SPAN_CAP) -> MirrorTripleReport
     and [0,3d,4d].
     """
     bound = Fraction(2, 5)
-    rows = []
-    for a in range(2, 6):
-        for b in range(1, a):
-            family = slab_family(a, b)
-            density = exact_density(family, span_cap=span_cap).density
-            g = math.gcd(a, b)
-            rows.append(
-                MirrorTripleRow(
-                    a=a,
-                    b=b,
-                    family=family,
-                    density=density,
-                    is_extreme=density == bound,
-                    reduced=(a // g, b // g),
-                )
-            )
-    all_below = all(r.density <= bound for r in rows)
-    expected = all(
-        r.is_extreme == (r.reduced in {(2, 1), (3, 1)}) for r in rows
+    pairs = [(a, b, math.gcd(a, b)) for a in range(2, 6) for b in range(1, a)]
+    families = [slab_family(a, b) for a, b, _ in pairs]
+    densities = exact_densities(families, span_cap=span_cap)
+    rows = tuple(
+        MirrorTripleRow(a, b, family, density, density == bound, (a // g, b // g))
+        for (a, b, g), family, density in zip(pairs, families, densities)
     )
     return MirrorTripleReport(
-        rows=tuple(rows),
-        all_below_bound=all_below,
-        extremes_as_expected=expected,
+        rows=rows,
+        all_below_bound=all(r.density <= bound for r in rows),
+        extremes_as_expected=all(
+            r.is_extreme == (r.reduced in {(2, 1), (3, 1)}) for r in rows
+        ),
     )

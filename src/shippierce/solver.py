@@ -21,11 +21,12 @@ smallest node sequence.  The pattern read off the cycle is re-checked
 against the input family before it is returned, which certifies the
 upper bound.
 
-exact_densities is the batch entry point for sweeps.  It solves
-families of one reduced span together, on a stack of their window
-masks, and returns densities only.  Both bounds are still certified for
-every family; the upper bound comes from the last parent cycle of the
-search, so no tie-broken witness is extracted.
+exact_densities is the batch entry point for callers that need only
+densities: sweep pool workers, the mirrored-triple check and collinear
+planar reflections.  It solves families of one reduced span together,
+on a stack of their window masks.  Both bounds are still certified for
+every family; the upper bound comes from the search's last cycle, so
+no tie-broken witness is extracted.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def _min_means(valid: np.ndarray):
     """Certified minimum cycle mean of each row of a (B, 2^s) mask stack.
 
     Yields (row, p, q, cycle, reduced) once per row, in the order the
-    rows finish: the minimum mean p/q of row's window graph, the last
-    parent cycle found (in parent order, None if lambda never dropped
-    below 1) and the reduced edge costs, laid out as in _extract_cycle,
-    under potentials that certify p/q.
+    rows finish: the minimum mean p/q of row's window graph, a cycle of
+    mean p/q in parent order, and the reduced edge costs, laid out as in
+    _extract_cycle, under potentials that certify p/q.
 
-    Each row starts from the bound lambda = p/q = 1, the mean of the
+    Each row starts from lambda = p/q = 1 and its cycle [n - 1], the
     all-ones window's self-loop, and all rows are swept at once on the
     integer edge weights q*w - p of their own lambda, from zero
     potentials; a node's potential and parent pointer change only on a
@@ -199,7 +199,7 @@ def _min_means(valid: np.ndarray):
     half = n >> 1
     newest = np.arange(n) & 1
     means = [(1, 1)] * len(valid)
-    cycles = [None] * len(valid)
+    cycles = [[n - 1]] * len(valid)
     rows = np.arange(len(valid))
     # The rows lie end to end, so that a sweep is the same numpy calls at
     # any B; row i of an array a is a.reshape(-1, n)[i].  All edges into
@@ -404,11 +404,12 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
     so that no stack charges more than MEMORY_GUARD_BYTES at
     BYTES_PER_WINDOW per window.  Both bounds are certified on every
     family: _min_means checks the potentials, and the pattern of the
-    row's last parent cycle is scaled back and verified as in
+    row's cycle from _min_means is scaled back and verified as in
     exact_density.  Parent pointers point back along a walk, so the
     cycle is reversed first: read forwards, it pierces the mirrored
-    family.  A row whose lambda stayed 1 is certified by the all-ones
-    window's self-loop.  No witness is tie-broken.
+    family.  No witness is tie-broken.  The pool workers of
+    search.compute_extremes, search.check_mirror_triples and
+    closed_forms.three_ship_reflection_2d call it.
     """
     densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1
     groups: dict[int, list[tuple[int, Family, int]]] = {}
@@ -428,8 +429,7 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
             for row, p, q, cycle, _ in _min_means(valid):
                 i, _, d = batch[row]
                 densities[i] = Fraction(p, q)
-                walk = cycle[::-1] if cycle else [(1 << s) - 1]
-                _verified_pattern(walk, densities[i], d, families[i])
+                _verified_pattern(cycle[::-1], densities[i], d, families[i])
     return densities
 
 

@@ -190,6 +190,27 @@ def test_mirror_triples_command(capsys):
     assert "extremes_as_expected true" in out
 
 
+# mirror-triples and formula mirror3-2d solve on the batch entry point;
+# their refusals were captured when both still solved one family at a
+# time with exact_density.
+@pytest.mark.parametrize("argv, reason", [
+    (
+        ["mirror-triples", "--span-cap", "5"],
+        "family requires window length 6, above the span cap 5; rerun with span_cap >= 6",
+    ),
+    (
+        ["formula", "mirror3-2d", "--u", "2,0", "--v", "30,0", "--span-cap", "15"],
+        "family requires window length 16, above the span cap 15; rerun with span_cap >= 16",
+    ),
+    (
+        ["formula", "mirror3-2d", "--u", "1,0", "--v", "24,0", "--span-cap", "30"],
+        "solving span 25 needs ~8589934592 bytes, above the guard of 2147483648",
+    ),
+])
+def test_density_only_commands_refuse(capsys, argv, reason):
+    assert run(capsys, *argv) == (3, "", f"refused: {reason}\n")
+
+
 def test_formula_commands(capsys):
     assert run(capsys, "formula", "pair22", "0,2;0,3")[1].strip() == "3/5"
     assert run(capsys, "formula", "pair22", "0,3;0,3")[1].strip() == "1/2"

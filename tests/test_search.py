@@ -272,6 +272,29 @@ def test_failed_rewrite_keeps_appended_lines(tmp_path, monkeypatch):
     assert out.read_bytes() == clean.read_bytes()
 
 
+def test_append_after_a_cut_line_keeps_every_family(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.txt"
+    rep = compute_extremes(2, 2, 6, results_path=clean)
+    lines = clean.read_text().splitlines()[:rep.families_examined]
+    assert len(lines) == 9
+    # A kill cut the third line two characters short, and the rerun is
+    # killed before its final rewrite.  The first appended line must not
+    # be glued onto the fragment, so all 9 families reload.
+    out = tmp_path / "results.txt"
+    out.write_text("\n".join(lines[:3])[:-2])
+
+    def no_rewrite(*args):
+        raise RuntimeError("killed before the final rewrite")
+
+    with monkeypatch.context() as m:
+        m.setattr(shippierce.search, "_write_results", no_rewrite)
+        with pytest.raises(RuntimeError):
+            compute_extremes(2, 2, 6, results_path=out)
+    monkeypatch.setattr(shippierce.search, "exact_density", None)
+    assert compute_extremes(2, 2, 6, results_path=out) == rep
+    assert out.read_bytes() == clean.read_bytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_lines_are_appended_in_enumeration_order(tmp_path, monkeypatch, workers):
     # 55 families in chunks of 8 reach the pool at workers=2.
@@ -318,8 +341,12 @@ def test_golden_table_resumes_without_solving(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a cached family was solved again")
 
+    def no_rewrite(src, dst):
+        raise AssertionError("a canonical file was rewritten")
+
     monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
     monkeypatch.setattr(shippierce.search, "_densities", no_solve)
+    monkeypatch.setattr(os, "replace", no_rewrite)
     goldens = sorted(GOLDEN_RESULTS.glob("type_*.txt"))
     assert len(goldens) == 15
     for golden in goldens:
