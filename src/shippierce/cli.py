@@ -6,6 +6,9 @@ as reduced fractions except in `bounds`, whose envelope is float by
 nature.  Family arguments accept either inline text ("0,1;0,2,4") or
 "@path" to read the one-ship-per-line file format.  Every command
 accepts --json and then prints one JSON object with sorted keys.
+Each cmd_* function returns (exit code, payload, lines) and prints
+nothing; main prints the payload under --json and the lines otherwise,
+which default to one `key value` line per payload entry.
 Commands that take --span-cap default it from the SHIPPIERCE_SPAN_CAP
 environment variable when it is set; other commands ignore the
 variable.
@@ -51,22 +54,6 @@ def _read_family(spec: str) -> Family:
     return parse_family(spec)
 
 
-def _emit(args, payload: dict, lines=None) -> None:
-    """Print a command's one result, payload, in the requested format.
-
-    Under --json the payload is printed as one JSON object with sorted
-    keys.  Otherwise lines are printed, one per line; they default to
-    one `key value` line per payload entry, in insertion order.
-    """
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    if lines is None:
-        lines = [f"{key} {value}" for key, value in payload.items()]
-    for line in lines:
-        print(line)
-
-
 def _vector(text: str) -> tuple[int, int]:
     try:
         x, y = (int(tok) for tok in text.split(","))
@@ -75,24 +62,20 @@ def _vector(text: str) -> tuple[int, int]:
         raise ParseError(f"bad vector {text!r}; expected 'x,y'")
 
 
-def cmd_density(args) -> int:
-    family = _read_family(args.family)
-    result = exact_density(family, span_cap=args.span_cap)
-    _emit(
-        args,
-        {
-            "density": format_density(result.density),
-            "pattern": str(result.pattern),
-            "nodes": result.node_count,
-            "cycle": result.cycle_length,
-            "window": result.window_length,
-            "scale": result.scale,
-        },
-    )
-    return EXIT_OK
+def cmd_density(args):
+    result = exact_density(_read_family(args.family), span_cap=args.span_cap)
+    payload = {
+        "density": format_density(result.density),
+        "pattern": str(result.pattern),
+        "nodes": result.node_count,
+        "cycle": result.cycle_length,
+        "window": result.window_length,
+        "scale": result.scale,
+    }
+    return EXIT_OK, payload, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.two_d:
         pattern = parse_pattern_2d(args.pattern)
         family = parse_family_2d(args.family)
@@ -102,18 +85,13 @@ def cmd_verify(args) -> int:
         family = _read_family(args.family)
         witness = verify_pattern_1d(pattern, family)
     if witness is None:
-        _emit(args, {"pierces": True}, ["ok"])
-        return EXIT_OK
+        return EXIT_OK, {"pierces": True}, ["ok"]
     ship_idx, offset = witness
-    _emit(
-        args,
-        {"pierces": False, "ship": ship_idx, "offset": offset},
-        [f"miss ship {ship_idx} offset {offset}"],
-    )
-    return EXIT_VERIFY_FAILED
+    payload = {"pierces": False, "ship": ship_idx, "offset": offset}
+    return EXIT_VERIFY_FAILED, payload, [f"miss ship {ship_idx} offset {offset}"]
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     report = search.compute_extremes(
         n=args.n,
         k=args.k,
@@ -136,11 +114,10 @@ def cmd_search(args) -> int:
         "max {max} witness {max_witness}",
         "min {min} witness {min_witness}",
     ]
-    _emit(args, payload, [line.format_map(payload) for line in lines])
-    return EXIT_OK
+    return EXIT_OK, payload, [line.format_map(payload) for line in lines]
 
 
-def cmd_mirror_triples(args) -> int:
+def cmd_mirror_triples(args):
     report = search.check_mirror_triples(span_cap=args.span_cap)
     payload = {
         "rows": [
@@ -159,11 +136,11 @@ def cmd_mirror_triples(args) -> int:
     lines = ["{a},{b}\t{family}\t{density}".format_map(row) for row in payload["rows"]]
     lines.append(f"all_below_2/5 {str(report.all_below_bound).lower()}")
     lines.append(f"extremes_as_expected {str(report.extremes_as_expected).lower()}")
-    _emit(args, payload, lines)
-    return EXIT_OK if report.all_below_bound and report.extremes_as_expected else EXIT_VERIFY_FAILED
+    ok = report.all_below_bound and report.extremes_as_expected
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED, payload, lines
 
 
-def cmd_formula(args) -> int:
+def cmd_formula(args):
     if args.kind == "pair22":
         family = _read_family(args.family)
         ships = family.ships
@@ -182,12 +159,11 @@ def cmd_formula(args) -> int:
         value = closed_forms.three_ship_reflection_2d(
             _vector(args.u), _vector(args.v), span_cap=args.span_cap
         )
-    payload = {"value": format_density(value)}
-    _emit(args, payload, [payload["value"]])
-    return EXIT_OK
+    text = format_density(value)
+    return EXIT_OK, {"value": text}, [text]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     report = closed_forms.density_bounds(args.n, args.k)
     payload = {
         "n": report.n,
@@ -204,11 +180,10 @@ def cmd_bounds(args) -> int:
         else "upper {upper!r}",
         "upper_float {upper!r}",
     ]
-    _emit(args, payload, [line.format_map(payload) for line in lines])
-    return EXIT_OK
+    return EXIT_OK, payload, [line.format_map(payload) for line in lines]
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     payload = {}
     if args.kind == "greedy":
         gaps = [int(tok) for tok in args.gaps.split(",")]
@@ -222,8 +197,7 @@ def cmd_construct(args) -> int:
         pattern = constructions.reference_pattern(args.name, n=args.n)
     payload["pattern"] = str(pattern)
     payload["density"] = format_density(pattern.density)
-    _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK, payload, None
 
 
 @functools.cache
@@ -314,7 +288,14 @@ def main(argv=None) -> int:
     try:
         if "span_cap" in args and args.span_cap is None:
             args.span_cap = _default_span_cap()
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            lines = [json.dumps(payload, sort_keys=True)]
+        elif lines is None:
+            lines = [f"{key} {value}" for key, value in payload.items()]
+        for line in lines:
+            print(line)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

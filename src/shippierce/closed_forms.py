@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Family, Ship, normalize_ship, normalize_ship_2d
+from .core import Family, Ship, normalize_ship
 from .solver import DEFAULT_SPAN_CAP, exact_densities
 from .verifier import Pattern2D
 
@@ -176,12 +176,8 @@ def three_ship_reflection_2d_witness(
     for i in range(big):
         for j in range(big):
             # (alpha, beta) = M^-1 (i, j) with columns u, v; exact floors.
-            a_num = v[1] * i - v[0] * j
-            b_num = -u[1] * i + u[0] * j
-            if det < 0:
-                a_num, b_num = -a_num, -b_num
-            a = a_num // abs(det)
-            b = b_num // abs(det)
+            a = (v[1] * i - v[0] * j) // det
+            b = (u[0] * j - u[1] * i) // det
             if (a - b) % 3 == 0:
                 residues.add((i, j))
     pattern = Pattern2D((big, big), residues)

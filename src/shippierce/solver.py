@@ -299,13 +299,22 @@ def _extract_cycle(graph, tight, q) -> list[int]:
       gcd(p, q) = 1, every optimal length L is a multiple of q;
     * a closed walk of length L through r re-appends r's own bits, so
       r is L-periodic: r >> L == r mod 2^max(s-L, 0), true for L >= s;
-    * the start, the smallest node on any shortest optimal cycle, is
-      the first root whose search over the nodes above it closes a walk
-      of the current length: those cycles through it lie above it, and
-      a smaller root lies on none;
+    * the start, the smallest node on any shortest optimal cycle, is the
+      root with the smallest (c(r), r), c(r) being the shortest closed
+      walk through r over the nodes above it: those cycles through the
+      start lie above it, and a smaller root lies on none;
     * no word on the cycle is below its start r, and the word j steps on
       has r's low s-j bits on top, so only prenecklaces are roots:
       r mod 2^(s-j) >= r >> j for every j in 1..s-1;
+    * lengths L = q, 2q, ... below s are tried in turn, each from the
+      L-periodic roots, so a first closure has the smallest (c(r), r);
+    * failing that, every c(r) is at least s.  One pass over the roots,
+      ascending, searches each to best - q, best being the least c(r)
+      so far (words.size, the longest simple cycle, before the first):
+      every closed tight walk has a length that is a multiple of q, so
+      ties keep the smaller root, and the pass stops once best - q < s.
+      This is the (c(r), r) that trying every root at each length
+      L >= s in turn picks, with one search per root;
     * a closed walk of the shortest length is a simple cycle, so a
       successor finishes it in exactly r steps iff its distance back to
       the start is r; the descent takes the smallest such one.
@@ -327,37 +336,48 @@ def _extract_cycle(graph, tight, q) -> list[int]:
     for j in range(1, graph.s):
         roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]
 
-    for length in range(q, words.size + 1, q):
-        low = (1 << max(graph.s - length, 0)) - 1
+    witness = None
+    for length in range(q, min(words.size + 1, graph.s), q):
+        low = (1 << (graph.s - length)) - 1
         for start in roots[(roots >> length) == (roots & low)].tolist():
-            dist = _distances_to(edge, start, length)
-            if dist is None:
-                continue
-            cycle = [start]
-            for remaining in range(length - 1, 0, -1):
-                u = cycle[-1]
-                cycle.append(next(v for v in (u % half * 2, u % half * 2 + 1)
-                                  if dist.get(v) == remaining and edge[u // half, v]))
-            assert edge[cycle[-1] // half, start]
-            return cycle
-    raise AssertionError("tight subgraph has no cycle")
+            if found := _distances_to(edge, start, length):
+                witness = start, found
+                break
+        if witness is not None:
+            break
+    else:
+        limit = words.size
+        for start in roots.tolist():
+            if limit < graph.s:
+                break
+            if found := _distances_to(edge, start, limit):
+                witness, limit = (start, found), found[0] - q
+    start, (length, dist) = witness
+    cycle = [start]
+    for remaining in range(length - 1, 0, -1):
+        u = cycle[-1]
+        cycle.append(next(v for v in (u % half * 2, u % half * 2 + 1)
+                          if dist.get(v) == remaining and edge[u // half, v]))
+    assert edge[cycle[-1] // half, start]
+    return cycle
 
 
-def _distances_to(edge, root: int, length: int) -> dict[int, int] | None:
+def _distances_to(edge, root: int, length: int) -> tuple[int, dict[int, int]] | None:
     """Breadth-first tight distances back to root from the nodes above
-    it, returned once a walk through root closes within length steps.
-    """
+    it, complete below the depth at which a walk through root first
+    closes, and returned with that depth if it is at most length."""
     half = edge.shape[1] >> 1
     dist = {root: 0}
-    frontier = [root]
-    for depth in range(1, length + 1):
+    frontier, depth = [root], 0
+    while frontier and depth < length:
+        depth += 1
         reached = []
         for v in frontier:
             for c in (0, 1):
                 if edge[c, v]:
                     u = (v >> 1) + c * half
                     if u == root:
-                        return dist
+                        return depth, dist
                     if u > root and u not in dist:
                         dist[u] = depth
                         reached.append(u)

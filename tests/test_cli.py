@@ -31,12 +31,14 @@ def test_density_plain_and_json_agree(capsys):
 
 
 # `density --json` output of slow shapes at reduced spans 14 and 16,
-# captured before the solver moved to the dense window graph, and of the
+# captured before the solver moved to the dense window graph, of the
 # dense family at span 19, captured before the witness search dropped its
-# predecessor lists.
+# predecessor lists, and of a span-17 family whose shortest optimal cycle
+# (32) is longer than its window, captured before the witness search
+# took one bounded search per root at lengths >= s.
 SLOW_SHAPES = {
     family: out
-    for name in ("density_span13_16.json", "density_span19.json")
+    for name in ("density_span13_16.json", "density_span19.json", "density_span17.json")
     for family, out in json.loads((Path(__file__).parent / "data" / name).read_text()).items()
 }
 
@@ -209,6 +211,23 @@ def test_mirror_triples_command(capsys):
 ])
 def test_density_only_commands_refuse(capsys, argv, reason):
     assert run(capsys, *argv) == (3, "", f"refused: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["formula", "toughest2", "--n", "0"], "need n >= 1"),
+    (["bounds", "--n", "0", "--k", "2"], "need n >= 1"),
+    (["formula", "easiest", "--n", "0", "--k", "2"], "need n, k >= 1"),
+    (["construct", "easiest", "--n", "0", "--k", "2"], "need n, k >= 1"),
+    (
+        ["search", "--n", "3", "--k", "2", "--max-span", "3"],
+        "no families of 3 distinct 2-cell ships with span <= 3",
+    ),
+    (["search", "--n", "0", "--k", "2", "--max-span", "5"], "need n >= 1, k >= 1, span_budget >= k"),
+    (["search", "--n", "2", "--k", "5", "--max-span", "3"], "need n >= 1, k >= 1, span_budget >= k"),
+    (["verify", "--2d", "--pattern", "0,3:(0,0)", "(0,0),(1,0)"], "periods must be positive"),
+])
+def test_bad_arguments_are_input_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_formula_commands(capsys):
