@@ -106,15 +106,11 @@ def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _primitive(u: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Primitive direction w and integer a with u = a*w."""
-    g = math.gcd(abs(u[0]), abs(u[1]))
-    return (u[0] // g, u[1] // g), g
-
-
 def _collinear_multiples(u, v) -> tuple[int, int]:
-    """For collinear u, v return integers a, b with u = a*w, v = b*w."""
-    w, a = _primitive(u)
+    """For collinear u, v return integers a, b with u = a*w, v = b*w,
+    w being the primitive direction of u."""
+    a = math.gcd(abs(u[0]), abs(u[1]))
+    w = (u[0] // a, u[1] // a)
     b = v[0] // w[0] if w[0] != 0 else v[1] // w[1]
     return a, b
 

@@ -188,9 +188,12 @@ def _min_means(valid: np.ndarray):
     A row that a sweep leaves unchanged has no improving edge, so no
     later sweep changes it.  Its parent pointers hold no cycle: every
     parent edge is then tight, so a parent cycle would have weight zero,
-    not below it.  Such rows are final.  They leave the stack only at
-    the checks, so a one-row stack issues the same numpy calls per sweep
-    as a loop without rows.
+    not below it.  Such a row is final, and no pointers are checked
+    after a sweep that changes no row.  Rows leave at one exit: after a
+    check, or after a sweep that changes no row, every row that sweep
+    left unchanged is certified, yielded and dropped from the stack, and
+    the loop ends when no row is left.  Every other sweep issues the
+    same numpy calls at any B.
 
     Raises AssertionError if the final potentials of a row fail to
     certify its mean.
@@ -201,61 +204,49 @@ def _min_means(valid: np.ndarray):
     means = [(1, 1)] * len(valid)
     cycles = [[n - 1]] * len(valid)
     rows = np.arange(len(valid))
-    # The rows lie end to end, so that a sweep is the same numpy calls at
-    # any B; row i of an array a is a.reshape(-1, n)[i].  All edges into
-    # a word carry the same weight: its newest bit.
-    cost = np.where(valid, newest - 1, 2 * _INF).ravel()
-    d = np.where(valid, 0, _INF).ravel()
-    pick = np.zeros(d.size, dtype=bool)  # parent is up + half * pick once d < 0
-    # Word 2a + b of a row has the predecessors a and a + half of that row.
-    up = np.arange(d.size) - (np.arange(d.size) % n + 1) // 2
+    # All edges into a word carry the same weight: its newest bit.
+    cost = np.where(valid, newest - 1, 2 * _INF)
+    d = np.where(valid, 0, _INF)
+    pick = np.zeros(d.shape, dtype=bool)  # parent is up + half * pick once d < 0
+    # Word 2a + b of row i has the predecessors a and a + half of that row;
+    # up points into the rows laid end to end, as _parent_cycle reads them.
+    up = n * rows[:, None] + (np.arange(n) >> 1)
+    low, high = d[:, :half], d[:, half:]
     sweep = 0
-    while True:
-        low, high = d.reshape(-1, half)[0::2], d.reshape(-1, half)[1::2]
-        while True:
-            sweep += 1
-            best = np.minimum(low, high).repeat(2) + cost
-            improved = best < d
-            if not improved.any():
-                yield from _certified(rows, means, cycles, d, cost, n)
-                return
-            pick ^= improved & (pick ^ (high < low).repeat(2))
+    while rows.size:
+        sweep += 1
+        best = np.minimum(low, high).repeat(2, axis=1) + cost
+        improved = best < d
+        if improved.any():
+            pick ^= improved & (pick ^ (high < low).repeat(2, axis=1))
             np.minimum(d, best, out=d)
-            if sweep & (sweep - 1) == 0:
-                break
-        for i, cycle in enumerate(_parent_cycle(np.where(d < 0, up + half * pick, -1), n)):
-            if cycle is None:
+            if sweep & (sweep - 1):
                 continue
-            r = rows[i]
-            mean = Fraction(sum(w & 1 for w in cycle), len(cycle))
-            assert mean < Fraction(*means[r]), "parent cycle is not negative"
-            p, q = means[r] = mean.numerator, mean.denominator
-            cycles[r] = cycle
-            cost.reshape(-1, n)[i] = np.where(valid[i], q * newest - p, 2 * _INF)
-            d.reshape(-1, n)[i] = np.where(valid[i], 0, _INF)
-            pick.reshape(-1, n)[i] = False
-            sweep = 0
-        if len(rows) == 1:
-            continue  # a lone row that a sweep leaves unchanged ends the loop
-        done = ~improved.reshape(-1, n).any(axis=1)
-        if done.any():
-            words = np.repeat(done, n)
-            yield from _certified(rows[done], means, cycles, d[words], cost[words], n)
-            rows, valid = rows[~done], valid[~done]
-            cost, d, pick = cost[~words], d[~words], pick[~words]
-            up = up[:d.size]
-
-
-def _certified(rows, means, cycles, d, cost, n):
-    """Lower-bound certificate of finished rows, laid end to end in d and
-    cost: no edge has a negative reduced cost under their final
-    potentials."""
-    d, cost = d.reshape(-1, n), cost.reshape(-1, n)
-    reduced = d.reshape(len(d), 2, -1).repeat(2, axis=2) + (cost - d)[:, None]
-    if (reduced < 0).any():
-        raise AssertionError("potentials do not certify the minimum cycle mean")
-    for r, row_reduced in zip(rows.tolist(), reduced):
-        yield (r, *means[r], cycles[r], row_reduced)
+            for i, cycle in enumerate(_parent_cycle(np.where(d < 0, up + half * pick, -1).ravel(), n)):
+                if cycle is None:
+                    continue
+                r = rows[i]
+                mean = Fraction(sum(w & 1 for w in cycle), len(cycle))
+                assert mean < Fraction(*means[r]), "parent cycle is not negative"
+                p, q = means[r] = mean.numerator, mean.denominator
+                cycles[r] = cycle
+                cost[i] = np.where(valid[i], q * newest - p, 2 * _INF)
+                d[i] = np.where(valid[i], 0, _INF)
+                pick[i] = False
+                sweep = 0
+        done = ~improved.any(axis=1)
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done).tolist():
+            reduced = d[i].reshape(2, half).repeat(2, axis=1) + (cost[i] - d[i])
+            if (reduced < 0).any():
+                raise AssertionError("potentials do not certify the minimum cycle mean")
+            r = int(rows[i])
+            yield (r, *means[r], cycles[r], reduced)
+        rows, valid = rows[~done], valid[~done]
+        cost, d, pick = cost[~done], d[~done], pick[~done]
+        up = up[:len(rows)]
+        low, high = d[:, :half], d[:, half:]
 
 
 def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
@@ -270,13 +261,13 @@ def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
     sentinel.
     """
     end = len(parent)
+    cycles = [None] * (end // n)
     jump = np.append(np.where(parent >= 0, parent, end), end)
     for _ in range(n.bit_length()):
         jump = jump[jump]
         if jump.min() == end:
-            return [None] * (end // n)
-    on_cycle = (jump[:end] < end).reshape(-1, n)
-    cycles = [None] * (end // n)
+            return cycles
+    on_cycle = (jump[:end] < end).reshape(len(cycles), n)
     for r in np.flatnonzero(on_cycle.any(axis=1)).tolist():
         cycle = [int(jump[r * n + on_cycle[r].argmax()])]
         while (u := int(parent[cycle[-1]])) != cycle[0]:

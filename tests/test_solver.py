@@ -312,6 +312,49 @@ def test_batch_reverses_parent_cycles_into_walk_order():
     assert exact_densities(families) == [exact_density(f).density for f in families]
 
 
+def test_parent_checks_follow_the_doubling_schedule(monkeypatch):
+    # Parent pointers are checked after 1, 2, 4, ... sweeps since the
+    # last drop of lambda, and never after the sweep that ends a solve.
+    calls = []
+    real = solver._parent_cycle
+
+    def counting(parent, n):
+        cycles = real(parent, n)
+        calls.append(len(cycles))
+        return cycles
+
+    monkeypatch.setattr(solver, "_parent_cycle", counting)
+    expected = {"0,1,3": 9, "0,1,11": 10, "0,5,12,13;0,13": 7, "0,1,12;0,12,13": 11, "0,15,16;0,16": 8}
+    for text, count in expected.items():
+        calls.clear()
+        exact_density(parse_family(text))
+        assert len(calls) == count, text
+    calls.clear()
+    exact_densities([parse_family(t) for t in BATCH_FAMILIES])
+    assert (len(calls), sum(calls)) == (59, 729)
+
+
+def test_batch_yields_every_row_once_as_it_finishes(monkeypatch):
+    # Rows of one span-14 stack finish after different numbers of sweeps
+    # and leave the stack out of order; each is yielded exactly once.
+    yielded = []
+    real = solver._min_means
+
+    def recording(valid):
+        for row, *rest in real(valid):
+            yielded.append(row)
+            yield (row, *rest)
+
+    monkeypatch.setattr(solver, "_min_means", recording)
+    texts = ["0,1,12;0,12,13", "0,1,13", "0,5,12,13;0,13", "0,1,3,13"]
+    families = [parse_family(t) for t in texts]
+    assert {scale_reduce(f)[0].span for f in families} == {14}
+    densities = exact_densities(families)
+    assert yielded == [1, 2, 3, 0]
+    assert densities == [Fraction(1, 2), Fraction(5, 14), Fraction(1, 2), Fraction(3, 11)]
+    assert densities == [exact_density(f).density for f in families]
+
+
 def test_span_cap_refusal_reports_required_span():
     f = parse_family("0,1,9")
     with pytest.raises(SpanCapError) as exc:
