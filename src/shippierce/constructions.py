@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Family, Ship, Family2D, normalize_ship, normalize_ship_2d
+from .core import Family, Ship, normalize_ship, normalize_ship_2d
 from .verifier import Pattern1D, Pattern2D
 
 
@@ -145,7 +145,7 @@ def reference_pattern(name: str, n: int | None = None) -> Pattern1D | Pattern2D:
 _L_CORNER = ((0, 0), (1, 0), (0, 1))
 
 
-def reference_family_2d(name: str) -> Family2D:
+def reference_family_2d(name: str) -> Family:
     """Named planar test families built from an L-triomino.
 
     * "l180": the corner L together with its 180-degree rotation.
@@ -153,9 +153,9 @@ def reference_family_2d(name: str) -> Family2D:
     """
     base = normalize_ship_2d(_L_CORNER)
     if name == "l180":
-        other = normalize_ship_2d([(-x, -y) for x, y in _L_CORNER])
+        other = base.reflect()
     elif name == "l90":
         other = normalize_ship_2d([(-y, x) for x, y in _L_CORNER])
     else:
         raise ValueError(f"unknown family {name!r}; known: l180, l90")
-    return Family2D((base, other))
+    return Family((base, other))

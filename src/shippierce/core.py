@@ -8,8 +8,8 @@ under translating individual ships, scaling the whole family by a
 positive integer, and mirroring, these are the only normal forms the
 rest of the package ever sees.
 
-2D variants (`Ship2D`, `Family2D`) anchor the lexicographically
-smallest cell at the origin.
+A 2D ship (`Ship2D`) anchors its lexicographically smallest cell at
+the origin; a `Family` holds ships of either dimension.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ class Ship:
 
 @dataclass(frozen=True, order=True)
 class Family:
-    """A canonical family: sorted, duplicate-free, non-empty ships."""
+    """A canonical family: sorted, duplicate-free, non-empty ships.
 
-    ships: tuple[Ship, ...]
+    The ships are all 1D (`Ship`) or all 2D (`Ship2D`); `span` is 1D only.
+    """
+
+    ships: tuple[Ship, ...] | tuple[Ship2D, ...]
 
     def __post_init__(self):
         if not self.ships:
@@ -161,21 +164,6 @@ class Ship2D:
         return ",".join(f"({x},{y})" for x, y in self.points)
 
 
-@dataclass(frozen=True, order=True)
-class Family2D:
-    """Canonical 2D family: sorted, duplicate-free, non-empty."""
-
-    ships: tuple[Ship2D, ...]
-
-    def __post_init__(self):
-        if not self.ships:
-            raise ValueError("a family needs at least one ship")
-        object.__setattr__(self, "ships", tuple(sorted(set(self.ships))))
-
-    def __str__(self) -> str:
-        return ";".join(str(s) for s in self.ships)
-
-
 def normalize_ship_2d(raw_points) -> Ship2D:
     """Sort cells and translate the lexicographically smallest to (0,0)."""
     pts = sorted(tuple(p) for p in raw_points)
@@ -196,6 +184,14 @@ def normalize_ship_2d(raw_points) -> Ship2D:
 # e.g. "(0,0),(1,0),(0,1);(0,0),(1,-1),(1,0)".
 # ----------------------------------------------------------------------
 
+def _family(raw) -> Family:
+    """make_family(raw), its ValueError raised as a ParseError."""
+    try:
+        return make_family(raw)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_family(text: str) -> Family:
     """Parse "0,1;0,2,4"-style text; offsets may be arbitrary integers."""
     raw = []
@@ -207,10 +203,7 @@ def parse_family(text: str) -> Family:
             raw.append([int(tok) for tok in chunk.split(",")])
         except ValueError as exc:
             raise ParseError(f"bad offset in ship {chunk!r}: {exc}") from exc
-    try:
-        return make_family(raw)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _family(raw)
 
 
 def parse_family_file(path) -> Family:
@@ -227,10 +220,7 @@ def parse_family_file(path) -> Family:
                 raise ParseError(f"{path}:{lineno}: bad ship {line!r}") from exc
     if not raw:
         raise ParseError(f"{path}: no ships found")
-    try:
-        return make_family(raw)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _family(raw)
 
 
 _POINT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
@@ -244,7 +234,7 @@ def parse_cells_2d(text: str) -> list[tuple[int, int]] | None:
     return [(int(x), int(y)) for x, y in _POINT_RE.findall(text)]
 
 
-def parse_family_2d(text: str) -> Family2D:
+def parse_family_2d(text: str) -> Family:
     """Parse "(0,0),(1,0),(0,1);(0,0),(1,1)"-style 2D family text."""
     ships = []
     for chunk in text.split(";"):
@@ -255,7 +245,4 @@ def parse_family_2d(text: str) -> Family2D:
             ships.append(normalize_ship_2d(pts))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    try:
-        return Family2D(tuple(ships))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Family(tuple(ships))

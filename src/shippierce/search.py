@@ -126,10 +126,6 @@ class SearchReport:
 POOL_CHUNKSIZE = 64
 
 
-def _density(text: str, span_cap: int) -> Fraction:
-    return exact_density(parse_family(text), span_cap=span_cap).density
-
-
 def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
     return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
 
@@ -230,7 +226,7 @@ def compute_extremes(
             # this module's functions (tracing, tests) see every call.  So
             # does a single chunk: only one pool worker could run on it,
             # and the fork costs more than the chunk's solve.
-            solved = map(_density, todo, repeat(span_cap))
+            solved = (exact_density(parse_family(t), span_cap=span_cap).density for t in todo)
         for i, (text, density) in enumerate(zip(todo, solved), 1):
             frac = densities[text] = format_density(density)
             if out:

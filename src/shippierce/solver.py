@@ -11,7 +11,7 @@ density equals the minimum mean weight over directed cycles.
 
 The minimum mean is found by parametric Bellman-Ford: Lawler's search
 over the mean, with the parent-pointer negative-cycle test of
-Cherkassky and Goldberg (see min_mean_cycle).  Its final node
+Cherkassky and Goldberg (see _min_means).  Its final node
 potentials certify the lower bound: no edge has a negative reduced
 cost, so no cycle has a lower mean, and this is checked on every
 solve.  Optimal cycles are then exactly the cycles of tight (zero

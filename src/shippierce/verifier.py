@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Family, Family2D, ParseError, parse_cells_2d
+from .core import Family, ParseError, parse_cells_2d
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def verify_pattern_1d(x: Pattern1D, f: Family) -> tuple[int, int] | None:
     return None
 
 
-def verify_pattern_2d(x: Pattern2D, f: Family2D) -> tuple[int, tuple[int, int]] | None:
+def verify_pattern_2d(x: Pattern2D, f: Family) -> tuple[int, tuple[int, int]] | None:
     """2D analogue of verify_pattern_1d; witness is (ship index, (n, m))."""
     p, q = x.periods
     shot = x.residues

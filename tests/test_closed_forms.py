@@ -14,7 +14,7 @@ from shippierce.closed_forms import (
     two_2ships_density,
     two_2ships_density_2d,
 )
-from shippierce.core import Family, Family2D, Ship, make_family, normalize_ship_2d
+from shippierce.core import Family, Ship, make_family, normalize_ship_2d
 from shippierce.solver import exact_density
 from shippierce.verifier import verify_pattern_2d
 
@@ -129,7 +129,7 @@ def test_three_ship_reflection_2d_examples():
 )
 def test_three_ship_reflection_2d_witness_pierces(u, v):
     ship = normalize_ship_2d([(0, 0), u, v])
-    fam = Family2D((ship, ship.reflect()))
+    fam = Family((ship, ship.reflect()))
     w = three_ship_reflection_2d_witness(u, v)
     assert w.density == Fraction(1, 3)
     assert verify_pattern_2d(w, fam) is None

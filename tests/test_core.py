@@ -12,6 +12,7 @@ from shippierce.core import (
     Ship,
     make_family,
     normalize_ship,
+    normalize_ship_2d,
     parse_family,
     parse_family_2d,
     parse_family_file,
@@ -22,6 +23,10 @@ from shippierce.core import (
 
 raw_ships = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True)
 families = st.lists(raw_ships, min_size=1, max_size=3).map(make_family)
+raw_ships_2d = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=4, unique=True)
+families_2d = st.lists(raw_ships_2d, min_size=1, max_size=3).map(
+    lambda raw: parse_family_2d(";".join(",".join(f"({x},{y})" for x, y in ship) for ship in raw))
+)
 
 
 def test_normalize_examples():
@@ -53,6 +58,20 @@ def test_reflect_examples():
 @given(families)
 def test_reflect_involution(f):
     assert reflect(reflect(f)) == f
+
+
+@given(families_2d)
+def test_reflect_involution_2d(f):
+    assert type(reflect(f)) is type(f)
+    assert reflect(reflect(f)) == f
+
+
+def test_reflect_2d_examples():
+    ell = parse_family_2d("(0,0),(1,0),(0,1)")
+    assert reflect(ell) == parse_family_2d("(0,0),(1,-1),(1,0)")
+    # An L-triomino with its 180-degree rotation is closed under reflection.
+    closed = parse_family_2d("(0,0),(1,0),(0,1);(0,0),(1,-1),(1,0)")
+    assert reflect(closed) == closed
 
 
 def test_scale_reduce_examples():
@@ -141,3 +160,24 @@ def test_parse_family_2d():
         parse_family_2d("(0,0),(0,0)")
     with pytest.raises(ParseError):
         parse_family_2d("(0,0),junk")
+
+
+def test_parse_family_2d_equals_family_of_its_ships():
+    ell = normalize_ship_2d([(0, 0), (1, 0), (0, 1)])
+    bar = normalize_ship_2d([(0, 0), (1, 1)])
+    assert parse_family_2d("(0,0),(1,0),(0,1);(0,0),(1,1)") == Family((ell, bar))
+    # Repeated and reordered ships, translated and with cells out of order.
+    text = "(5,5),(6,6);(1,0),(0,0),(0,1);(3,-2),(2,-3);(0,1),(0,0),(1,0)"
+    assert parse_family_2d(text) == Family((bar, ell))
+    assert parse_family_2d(text).ships == (ell, bar)
+
+
+def test_parse_family_2d_error_messages():
+    for text, message in [
+        ("", "bad 2D ship spec ''"),
+        ("(0,0);", "bad 2D ship spec ''"),
+        ("(0,0),(0,0)", "duplicate cell in 2D ship [(0, 0), (0, 0)]"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_family_2d(text)
+        assert str(info.value) == message

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shippierce.core import Family2D, ParseError, make_family, normalize_ship_2d, scale
+from shippierce.core import Family, ParseError, make_family, normalize_ship_2d, scale
 from shippierce.verifier import (
     Pattern1D,
     Pattern2D,
@@ -32,7 +32,7 @@ def test_witness_is_lexicographically_first():
     empty = Pattern1D(3, set())
     assert verify_pattern_1d(empty, make_family([[0, 1], [0, 2]])) == (0, 0)
     x = Pattern2D((2, 2), set())
-    fam = Family2D((normalize_ship_2d([(0, 0), (1, 0)]),))
+    fam = Family((normalize_ship_2d([(0, 0), (1, 0)]),))
     assert verify_pattern_2d(x, fam) == (0, (0, 0))
 
 
@@ -45,11 +45,11 @@ def test_verify_translation_invariant():
 def test_verify_2d_l_shapes():
     diag3 = Pattern2D((3, 3), {(i, j) for i in range(3) for j in range(3) if (i - j) % 3 == 0})
     ell = normalize_ship_2d([(0, 0), (1, 0), (0, 1)])
-    fam_180 = Family2D((ell, ell.reflect()))
+    fam_180 = Family((ell, ell.reflect()))
     assert verify_pattern_2d(diag3, fam_180) is None
 
     rot90 = normalize_ship_2d([(0, 0), (0, 1), (-1, 0)])
-    fam_90 = Family2D((ell, rot90))
+    fam_90 = Family((ell, rot90))
     even_rows = Pattern2D((1, 2), {(0, 0)})
     assert verify_pattern_2d(even_rows, fam_90) is None
     # frozen first missed translate of the diagonal pattern on the 90-pair
