@@ -296,7 +296,7 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         return code
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SpanCapError, MemoryGuardError) as exc:

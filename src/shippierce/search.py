@@ -54,18 +54,18 @@ def raw_family_count(n: int, k: int, span_budget: int) -> int:
     return math.comb(len(ships_with_span(k, span_budget)), n)
 
 
-def _canonical_combos(
-    n: int, k: int, span_budget: int
-) -> tuple[list[Ship], list[tuple[int, ...]]]:
-    """The ships of ships_with_span(k, span_budget), and the index
-    combinations into that list of the canonical families, in
-    lexicographic order.
+def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[str]:
+    """Texts of the canonical families of n distinct k-cell ships, in
+    lexicographic order: each family's ship texts joined by ';', as
+    str(Family) writes them.  Bad arguments raise ValueError on the
+    first next().
 
-    A combination is kept if its ships' offsets have family-wide gcd 1
-    and the family is <= its mirror image.  Each ship's mirror index and
-    offset gcd are computed once, and both tests are made on the index
-    tuple.  This keeps the same combinations as testing each family of
-    ships directly:
+    Emitted exactly once per symmetry class: offsets have family-wide
+    gcd 1, and a family is emitted only if it is <= its mirror image.
+    Each ship's mirror index and offset gcd are computed once, and both
+    tests are made on the index combination into
+    ships_with_span(k, span_budget).  This keeps the same families as
+    testing each family of ships directly:
     - mirroring a k-cell ship keeps its span, so it maps the list onto
       itself and every mirror ship has an index;
     - mirroring is one-to-one and the list is sorted, so the sorted
@@ -80,26 +80,10 @@ def _canonical_combos(
     index = {ship: i for i, ship in enumerate(ships)}
     mirror = [index[ship.reflect()] for ship in ships].__getitem__
     gcd = [offset_gcd([ship]) for ship in ships].__getitem__
-    combos = [
-        combo
-        for combo in combinations(range(len(ships)), n)
-        if tuple(sorted(map(mirror, combo))) >= combo
-        and math.gcd(*map(gcd, combo)) <= 1
-    ]
-    return ships, combos
-
-
-def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[Family]:
-    """Canonical families of n distinct k-cell ships, lexicographically.
-
-    Emitted exactly once per symmetry class: offsets have family-wide
-    gcd 1, and a family is emitted only if it is <= its mirror image.
-    The tests run on index combinations (see _canonical_combos), and a
-    Family is built only for the combinations that are emitted.
-    """
-    ships, combos = _canonical_combos(n, k, span_budget)
-    for combo in combos:
-        yield Family(tuple(ships[i] for i in combo))
+    ship_text = [str(ship) for ship in ships].__getitem__
+    for combo in combinations(range(len(ships)), n):
+        if tuple(sorted(map(mirror, combo))) >= combo and math.gcd(*map(gcd, combo)) <= 1:
+            yield ";".join(map(ship_text, combo))
 
 
 @dataclass(frozen=True)
@@ -176,13 +160,13 @@ def compute_extremes(
 ) -> SearchReport:
     """Exact max/min of the solver density over enumerate_families.
 
-    Families are handled as texts, each joined from the texts of its
-    ships (see _canonical_combos), and densities as format_density
-    strings: those reused from results_path, and each newly solved
-    density formatted once.  The max and min are found over the
-    distinct strings, with one Fraction each.  Witnesses are the
-    lexicographically smallest achievers, so reports are identical
-    across runs and worker counts; a Family is built only for them.
+    Families are handled as the texts enumerate_families yields, and
+    densities as format_density strings: those reused from
+    results_path, and each newly solved density formatted once.  The
+    max and min are found over the distinct strings, with one Fraction
+    each.  Witnesses are the lexicographically smallest achievers, so
+    reports are identical across runs and worker counts; a Family is
+    parsed only for them.
 
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
@@ -199,13 +183,11 @@ def compute_extremes(
         raise ValueError("checkpoint_every must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    ships, combos = _canonical_combos(n, k, span_budget)
-    if not combos:
+    texts = list(enumerate_families(n, k, span_budget))
+    if not texts:
         raise ValueError(
             f"no families of {n} distinct {k}-cell ships with span <= {span_budget}"
         )
-    ship_text = [str(ship) for ship in ships].__getitem__
-    texts = [";".join(map(ship_text, combo)) for combo in combos]
 
     old_text, densities = _load_results(Path(results_path), k) if results_path else ("", {})
     todo = [t for t in texts if t not in densities]
@@ -240,19 +222,16 @@ def compute_extremes(
     max_frac = max(value, key=value.__getitem__)
     min_frac = min(value, key=value.__getitem__)
 
-    def witness(frac: str) -> Family:
-        return Family(tuple(ships[i] for i in combos[fracs.index(frac)]))
-
     report = SearchReport(
         n=n,
         k=k,
         span_budget=span_budget,
         max_density=value[max_frac],
-        max_witness=witness(max_frac),
+        max_witness=parse_family(texts[fracs.index(max_frac)]),
         min_density=value[min_frac],
-        min_witness=witness(min_frac),
-        families_examined=len(combos),
-        families_raw=math.comb(len(ships), n),
+        min_witness=parse_family(texts[fracs.index(min_frac)]),
+        families_examined=len(texts),
+        families_raw=raw_family_count(n, k, span_budget),
     )
     if results_path:
         _write_results(Path(results_path), texts, fracs, report, old_text)

@@ -225,6 +225,8 @@ def test_density_only_commands_refuse(capsys, argv, reason):
     (["search", "--n", "0", "--k", "2", "--max-span", "5"], "need n >= 1, k >= 1, span_budget >= k"),
     (["search", "--n", "2", "--k", "5", "--max-span", "3"], "need n >= 1, k >= 1, span_budget >= k"),
     (["verify", "--2d", "--pattern", "0,3:(0,0)", "(0,0),(1,0)"], "periods must be positive"),
+    (["bounds", "--n", "1" + "0" * 400, "--k", "2"], "int too large to convert to float"),
+    (["bounds", "--n", "2", "--k", "1" + "0" * 400], "int too large to convert to float"),
 ])
 def test_bad_arguments_are_input_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

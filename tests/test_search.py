@@ -34,7 +34,7 @@ def test_enumerate_hand_counted_cases():
 
 
 def test_enumerate_emits_canonical_forms_only():
-    for f in enumerate_families(2, 3, 7):
+    for f in map(parse_family, enumerate_families(2, 3, 7)):
         assert not reflect(f) < f
         assert scale_reduce(f) == (f, 1)
         assert len(f.ships) == 2
@@ -52,14 +52,34 @@ def test_enumerate_equals_the_definition(n):
             for combo in combinations(ships_with_span(k, budget), n):
                 family = Family(combo)
                 if offset_gcd(combo) <= 1 and not reflect(family) < family:
-                    reference.append(family)
+                    reference.append(str(family))
             assert list(enumerate_families(n, k, budget)) == reference, (n, k, budget)
 
 
 def test_enumerate_is_deterministic_stream():
     a = list(enumerate_families(2, 3, 6))
     b = list(enumerate_families(2, 3, 6))
-    assert a == b == sorted(a)
+    families = [parse_family(t) for t in a]
+    assert a == b and families == sorted(families)
+
+
+def test_sweep_runs_the_public_enumerator(monkeypatch):
+    # perfbench's tracer hooks enumerate_families by name and calls
+    # raw_family_count(*args[:3]), so the sweep must call it once, with
+    # positional arguments, and sweep exactly what it yields.
+    calls, yielded = [], []
+    enumerate_all = shippierce.search.enumerate_families
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        for text in enumerate_all(*args, **kwargs):
+            yielded.append(text)
+            yield text
+
+    monkeypatch.setattr(shippierce.search, "enumerate_families", recording)
+    report = compute_extremes(2, 3, 7)
+    assert calls == [((2, 3, 7), {})]
+    assert report.families_examined == len(yielded) > 0
 
 
 def test_extremes_small_sweeps():
