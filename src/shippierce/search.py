@@ -14,10 +14,11 @@ the texts of its ships, and each density is kept as its `p/q` string.
 The max and min come from the distinct density strings, one Fraction
 each, and a Family is built only for the two witnesses.
 
-A sweep solves its families in one process, one exact_density call per
-family, or, when they fill at least two chunks, across a process pool,
-where each task solves a chunk of families with the batch entry point
-solver.exact_densities.  It can keep a resumable results file: one
+A sweep at one worker solves its families in one process, one
+exact_density call per family.  At more workers, each chunk of
+families is solved with the batch entry point solver.exact_densities:
+in one process when there is only one chunk, and across a process pool
+otherwise.  It can keep a resumable results file: one
 `family<TAB>p/q` line per family in lexicographic order, then a
 '#'-prefixed summary block.
 """
@@ -203,11 +204,15 @@ def compute_extremes(
             pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
             stack.callback(pool.shutdown, cancel_futures=True)
             solved = chain.from_iterable(pool.map(_densities, chunks, repeat(span_cap)))
+        elif workers > 1:
+            # A single chunk is solved as one batch in this process: only
+            # one pool worker could run on it, and the fork costs more
+            # than the chunk's solve.
+            solved = _densities(todo, span_cap)
         else:
-            # One worker solves in this process, so wrappers installed on
-            # this module's functions (tracing, tests) see every call.  So
-            # does a single chunk: only one pool worker could run on it,
-            # and the fork costs more than the chunk's solve.
+            # One worker solves one family at a time in this process, so
+            # wrappers installed on this module's functions (tracing,
+            # tests) see every call.
             solved = (exact_density(parse_family(t), span_cap=span_cap).density for t in todo)
         for i, (text, density) in enumerate(zip(todo, solved), 1):
             frac = densities[text] = format_density(density)

@@ -11,7 +11,12 @@ density equals the minimum mean weight over directed cycles.
 
 The minimum mean is found by parametric Bellman-Ford: Lawler's search
 over the mean, with the parent-pointer negative-cycle test of
-Cherkassky and Goldberg (see _min_means).  Its final node
+Cherkassky and Goldberg (see _min_means).  Each search starts at the
+least mean over the cycles no longer than the window, read off the
+periodic words (see _short_cycles), instead of at the all-ones
+self-loop.  The search converges from the mean of any real cycle, and
+its last round, which alone decides the outputs, is the same from any
+such start, so only the number of rounds changes.  Its final node
 potentials certify the lower bound: no edge has a negative reduced
 cost, so no cycle has a lower mean, and this is checked on every
 solve.  Optimal cycles are then exactly the cycles of tight (zero
@@ -22,15 +27,16 @@ against the input family before it is returned, which certifies the
 upper bound.
 
 exact_densities is the batch entry point for callers that need only
-densities: sweep pool workers, the mirrored-triple check and collinear
-planar reflections.  It solves families of one reduced span together,
-on a stack of their window masks.  Both bounds are still certified for
-every family; the upper bound comes from the search's last cycle, so
-no tie-broken witness is extracted.
+densities: sweeps at more than one worker, the mirrored-triple check
+and collinear planar reflections.  It solves families of one reduced
+span together, on a stack of their window masks.  Both bounds are
+still certified for every family; the upper bound comes from the
+search's last cycle, so no tie-broken witness is extracted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,17 +164,18 @@ def _min_means(valid: np.ndarray):
     mean p/q in parent order, and the reduced edge costs, laid out as in
     _extract_cycle, under potentials that certify p/q.
 
-    Each row starts from lambda = p/q = 1 and its cycle [n - 1], the
-    all-ones window's self-loop, and all rows are swept at once on the
-    integer edge weights q*w - p of their own lambda, from zero
-    potentials; a node's potential and parent pointer change only on a
-    strict decrease.  One sweep counter serves the whole stack: the
-    parent pointers of every row are checked for a cycle after 1, 2,
-    4, ... sweeps since the last time any row's lambda dropped.  When a
-    row's pointers close a cycle, that row's lambda drops to the cycle's
-    mean and its sweeps restart from zero potentials.  The first sweep
-    that changes no potential in any row ends the search, and it always
-    comes:
+    Each row starts from lambda = p/q, the least mean over its cycles of
+    length at most s, and one such cycle (see _short_cycles; the worst
+    start is the all-ones window's self-loop, of mean 1).  All rows are
+    swept at once on the integer edge weights q*w - p of their own
+    lambda, from zero potentials; a node's potential and parent pointer
+    change only on a strict decrease.  One sweep counter serves the
+    whole stack: the parent pointers of every row are checked for a
+    cycle after 1, 2, 4, ... sweeps since the last time any row's lambda
+    dropped.  When a row's pointers close a cycle, that row's lambda
+    drops to the cycle's mean and its sweeps restart from zero
+    potentials.  The first sweep that changes no potential in any row
+    ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
@@ -195,17 +202,25 @@ def _min_means(valid: np.ndarray):
     the loop ends when no row is left.  Every other sweep issues the
     same numpy calls at any B.
 
+    The start changes how many rounds a row takes, not what it yields.
+    The argument above needs only that lambda is the mean of a real
+    cycle of the row and that the row's cycle is that cycle.  So the
+    last round of a row always starts from zero potentials at the
+    minimum mean, where no check finds a parent cycle.  Its sweeps, the
+    final potentials, the reduced costs and so the tight edges and the
+    tie-broken witness are those of any other start.
+
     Raises AssertionError if the final potentials of a row fail to
     certify its mean.
     """
+    means, cycles = _short_cycles(valid)  # before the large arrays below
     n = valid.shape[1]
     half = n >> 1
     newest = np.arange(n) & 1
-    means = [(1, 1)] * len(valid)
-    cycles = [[n - 1]] * len(valid)
     rows = np.arange(len(valid))
+    p, q = np.array(means).T[:, :, None]
     # All edges into a word carry the same weight: its newest bit.
-    cost = np.where(valid, newest - 1, 2 * _INF)
+    cost = np.where(valid, q * newest - p, 2 * _INF)
     d = np.where(valid, 0, _INF)
     pick = np.zeros(d.shape, dtype=bool)  # parent is up + half * pick once d < 0
     # Word 2a + b of row i has the predecessors a and a + half of that row;
@@ -247,6 +262,63 @@ def _min_means(valid: np.ndarray):
         cost, d, pick = cost[~done], d[~done], pick[~done]
         up = up[:len(rows)]
         low, high = d[:, :half], d[:, half:]
+
+
+def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The least mean p/q (in lowest terms) over the cycles of length at
+    most s of each row of a (B, 2^s) mask stack, and one such cycle of
+    each row in parent order.
+
+    A closed walk of length L <= s re-appends its own bits, so its words
+    are the s-bit prefixes of the L-periodic sequence u u u ... and of
+    its rotations, for an L-bit word u, and its weight is popcount(u).
+    A cycle of length d is also a closed walk of every multiple L of d,
+    with d's word repeated as u and the same mean, and one multiple lies
+    in s/2 < L <= s, so only those L are scanned.  For each, u is valid
+    when all L rotations spell valid words: the rotations are ANDed
+    together in ceil(log2 L) doubling steps, each a transpose of the
+    high and low bits of u.  Each row keeps the first least-weight u of
+    the shortest L at its least mean, cut to its primitive period.  The
+    all-ones word is always valid, at mean 1.
+    """
+    rows, n = valid.shape
+    s = n.bit_length() - 1
+    first = s // 2 + 1
+    words = np.arange(n)
+    ones = np.zeros(1, dtype=np.uint8)  # popcount of each s-bit word
+    for _ in range(s):
+        ones = np.concatenate([ones, ones + 1])
+    weights, picks = [], []
+    for length in range(first, s + 1):
+        reps = -(-s // length)
+        spell = words[:1 << length] * sum(1 << (length * j) for j in range(reps))
+        ok = valid[:, spell >> (reps * length - s)]
+        step = 1
+        while step < length:
+            # ok[u] &= ok[u rotated left by step bits]
+            top = ok.reshape(rows, 1 << step, -1)
+            np.bitwise_and(top, ok.reshape(rows, -1, 1 << step).transpose(0, 2, 1), out=top)
+            step *= 2
+        score = np.where(ok, ones[:1 << length], np.uint8(length + 1))
+        picks.append(score.argmin(axis=1))
+        weights.append(score[np.arange(rows), picks[-1]])
+    # weight / L on a common denominator; argmin keeps the shortest L.
+    lengths = np.arange(first, s + 1)
+    scaled = np.array(weights, dtype=np.int64) * (math.lcm(*lengths.tolist()) // lengths)[:, None]
+    means, cycles = [], []
+    for r, i in enumerate(scaled.argmin(axis=0).tolist()):
+        bits = format(int(picks[i][r]), f"0{first + i}b")
+        q = next(d for d in range(1, len(bits) + 1) if bits == bits[d:] + bits[:d])
+        word, walk = 0, []
+        for j in range(s + q - 1):
+            word = (word << 1) & (n - 1) | int(bits[j % q])
+            if j >= s - 1:
+                walk.append(word)
+        p = bits[:q].count("1")
+        g = math.gcd(p, q)
+        means.append((p // g, q // g))
+        cycles.append(walk[::-1])
+    return means, cycles
 
 
 def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
@@ -418,8 +490,8 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
     row's cycle from _min_means is scaled back and verified as in
     exact_density.  Parent pointers point back along a walk, so the
     cycle is reversed first: read forwards, it pierces the mirrored
-    family.  No witness is tie-broken.  The pool workers of
-    search.compute_extremes, search.check_mirror_triples and
+    family.  No witness is tie-broken.  search.compute_extremes at more
+    than one worker, search.check_mirror_triples and
     closed_forms.three_ship_reflection_2d call it.
     """
     densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1

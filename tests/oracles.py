@@ -52,8 +52,9 @@ def min_mean_by_cycle_enumeration(graph) -> Fraction:
     return Fraction(best_n, best_d)
 
 
-def min_mean_by_closed_walks(graph) -> Fraction:
-    """Minimum mean over closed walks of every length 1..|nodes|.
+def min_mean_by_closed_walks(graph, max_length=None) -> Fraction:
+    """Minimum mean over closed walks of every length 1..max_length,
+    by default 1..|nodes|.
 
     dist[u, v] is the cheapest walk of the current exact length from u
     to v; its diagonal after L steps holds the cheapest closed L-walks.
@@ -75,7 +76,7 @@ def min_mean_by_closed_walks(graph) -> Fraction:
     dist = np.full((n, n), _INF, dtype=np.int64)
     dist[np.arange(n), np.arange(n)] = 0  # length-0 walks
     best_n = best_d = None
-    for length in range(1, n + 1):
+    for length in range(1, (n if max_length is None else max_length) + 1):
         dist = np.minimum(
             np.where(has_a, dist[:, pred_a], _INF),
             np.where(has_b, dist[:, pred_b], _INF),

@@ -406,6 +406,27 @@ def test_one_chunk_starts_no_pool(monkeypatch):
     assert sizes == []
 
 
+def test_one_chunk_is_solved_as_one_batch(tmp_path, monkeypatch):
+    # At workers=2, the 21 families of (2,2,9) fill one chunk: they are
+    # solved in one batch in this process, not one family at a time.
+    calls = []
+    real = shippierce.search._densities
+
+    def batch(texts, span_cap):
+        calls.append(len(texts))
+        return real(texts, span_cap)
+
+    def no_single(*args, **kwargs):
+        raise AssertionError("a family was solved on its own")
+
+    monkeypatch.setattr(shippierce.search, "_densities", batch)
+    monkeypatch.setattr(shippierce.search, "exact_density", no_single)
+    name = "type_n2_k2_span9.txt"
+    report = compute_extremes(2, 2, 9, results_path=tmp_path / name, workers=2)
+    assert calls == [report.families_examined]
+    assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
+
+
 def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
     sizes = record_pool_sizes(monkeypatch)
     report = compute_extremes(2, 3, 9, workers=4)

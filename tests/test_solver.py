@@ -324,14 +324,58 @@ def test_parent_checks_follow_the_doubling_schedule(monkeypatch):
         return cycles
 
     monkeypatch.setattr(solver, "_parent_cycle", counting)
-    expected = {"0,1,3": 9, "0,1,11": 10, "0,5,12,13;0,13": 7, "0,1,12;0,12,13": 11, "0,15,16;0,16": 8}
+    expected = {"0,1,3": 7, "0,1,11": 5, "0,5,12,13;0,13": 5, "0,1,12;0,12,13": 8, "0,15,16;0,16": 9}
     for text, count in expected.items():
         calls.clear()
         exact_density(parse_family(text))
         assert len(calls) == count, text
     calls.clear()
     exact_densities([parse_family(t) for t in BATCH_FAMILIES])
-    assert (len(calls), sum(calls)) == (59, 729)
+    assert (len(calls), sum(calls)) == (51, 503)
+
+
+@pytest.mark.parametrize("text, cycle_length", [("0,1,11", 3), ("0,6,7", 8)])
+def test_search_starts_at_an_optimal_short_cycle(monkeypatch, text, cycle_length):
+    # The optimal cycle is no longer than the window, so the search starts
+    # at the minimum mean and lambda never drops: no check finds a cycle.
+    found = []
+    real = solver._parent_cycle
+
+    def recording(parent, n):
+        cycles = real(parent, n)
+        found.extend(cycles)
+        return cycles
+
+    monkeypatch.setattr(solver, "_parent_cycle", recording)
+    r = exact_density(parse_family(text))
+    assert r.cycle_length == cycle_length <= r.window_length
+    assert found and found == [None] * len(found)
+
+
+def test_short_cycles_equal_the_closed_walk_oracle():
+    # On random families up to span 8, and on one stack of several rows,
+    # each row's start is the least mean over closed walks of length at
+    # most s, and its cycle is a closed walk of that row with that mean.
+    import random
+
+    rng = random.Random(19)
+    graphs = []
+    for _ in range(40):
+        span = rng.randint(2, 8)
+        raws = [[0] + rng.sample(range(1, span), rng.randint(1, min(3, span - 1)))
+                for _ in range(rng.randint(1, 3))]
+        f, _ = scale_reduce(make_family(raws))
+        if f.span > 1:
+            graphs.append([WindowGraph.from_family(f)])
+    graphs.append([WindowGraph.from_family(parse_family(t)) for t in ("0,1,7", "0,3,7", "0,1;0,4,7", "0,2,5,7")])
+    for stack in graphs:
+        means, cycles = solver._short_cycles(np.stack([g.valid for g in stack]))
+        for g, (p, q), cycle in zip(stack, means, cycles):
+            assert Fraction(p, q) == min_mean_by_closed_walks(g, max_length=g.s), g.nodes
+            assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == Fraction(p, q)
+            assert len(cycle) <= g.s and all(g.valid[w] for w in cycle)
+            # Parent order: each word's predecessor comes next.
+            assert all(u == v >> 1 | (u & (1 << (g.s - 1))) for v, u in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def test_batch_yields_every_row_once_as_it_finishes(monkeypatch):
