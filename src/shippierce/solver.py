@@ -19,12 +19,14 @@ its last round, which alone decides the outputs, is the same from any
 such start, so only the number of rounds changes.  Its final node
 potentials certify the lower bound: no edge has a negative reduced
 cost, so no cycle has a lower mean, and this is checked on every
-solve.  Optimal cycles are then exactly the cycles of tight (zero
-reduced cost) edges, and one is extracted from them.  Ties are broken
-deterministically: shortest cycle first, then the lexicographically
-smallest node sequence.  The pattern read off the cycle is re-checked
-against the input family before it is returned, which certifies the
-upper bound.
+solve.  Ties are broken deterministically: shortest cycle first, then
+the lexicographically smallest node sequence.  When the search never
+drops below its start, the start's cycle, read off the periodic words
+with this tie-break, is the witness.  Otherwise every optimal cycle is
+longer than the window.  Optimal cycles are exactly the cycles of
+tight (zero reduced cost) edges, and one is then extracted from them.
+The pattern read off the cycle is re-checked against the input family
+before it is returned, which certifies the upper bound.
 
 exact_densities is the batch entry point for callers that need only
 densities: sweeps at more than one worker, the mirrored-triple check
@@ -141,17 +143,23 @@ class SolveResult:
 def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     """Exact minimum cycle mean and one witness cycle.
 
-    Runs _min_means on the one-row stack of graph.valid, then extracts
-    the witness from the tight edges of its certified potentials: the
-    shortest optimal cycle; among equally short ones, the one whose
-    node sequence (rotated to start at its smallest node) is
-    lexicographically smallest.
+    The witness is the shortest optimal cycle; among equally short
+    ones, the one whose node sequence (rotated to start at its smallest
+    node) is lexicographically smallest.  Runs _min_means on the
+    one-row stack of graph.valid.  A cycle it yields of length at most s
+    is its start, so lambda never dropped and that cycle, reversed into
+    walk order, is the witness (see _short_cycles).  Otherwise every
+    optimal cycle is longer than the window, and the witness is
+    extracted from the tight edges of the certified potentials.
 
     Raises ValueError if the graph has no cycle, and AssertionError if
     the final potentials fail to certify the mean.
     """
-    [(_, p, q, _, reduced)] = _min_means(graph.valid[None])
-    cycle = _extract_cycle(graph, reduced == 0, q)
+    [(_, p, q, cycle, reduced)] = _min_means(graph.valid[None])
+    if cycle is not None and len(cycle) <= graph.s:
+        cycle = cycle[::-1]
+    else:
+        cycle = _extract_cycle(graph, reduced == 0, q)
     assert q * sum(w & 1 for w in cycle) == p * len(cycle)
     return Fraction(p, q), cycle
 
@@ -162,25 +170,27 @@ def _min_means(valid: np.ndarray):
     Yields (row, p, q, cycle, reduced) once per row, in the order the
     rows finish: the minimum mean p/q of row's window graph, a cycle of
     mean p/q in parent order, and the reduced edge costs, laid out as in
-    _extract_cycle, under potentials that certify p/q.
+    _extract_cycle, under potentials that certify p/q.  A row with no
+    cycle yields p/q = 1 and cycle None.
 
     Each row starts from lambda = p/q, the least mean over its cycles of
-    length at most s, and one such cycle (see _short_cycles; the worst
-    start is the all-ones window's self-loop, of mean 1).  All rows are
-    swept at once on the integer edge weights q*w - p of their own
-    lambda, from zero potentials; a node's potential and parent pointer
-    change only on a strict decrease.  One sweep counter serves the
-    whole stack: the parent pointers of every row are checked for a
-    cycle after 1, 2, 4, ... sweeps since the last time any row's lambda
-    dropped.  When a row's pointers close a cycle, that row's lambda
-    drops to the cycle's mean and its sweeps restart from zero
-    potentials.  The first sweep that changes no potential in any row
+    length at most s, and the tie-broken one of them (see
+    _short_cycles).  A row with no cycle that short starts at lambda = 1
+    with no cycle: a longer cycle is not the all-ones self-loop, so its
+    mean is below 1.  All rows are swept at once on the integer edge
+    weights q*w - p of their own lambda, from zero potentials; a node's
+    potential and parent pointer change only on a strict decrease.  One
+    sweep counter serves the whole stack: the parent pointers of every
+    row are checked for a cycle after 1, 2, 4, ... sweeps since the
+    last time any row's lambda dropped.  When a row's pointers close a
+    cycle, that row's lambda drops to the cycle's mean and its sweeps
+    restart from zero potentials.  The first sweep that changes no potential in any row
     ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
-    * each row's lambda therefore runs through the finite set of its
-      cycle means, so the counter is reset finitely often, and from
+    * each row's lambda therefore runs through its start and the finite
+      set of its cycle means, so the counter is reset finitely often, and from
       the last reset on the checks come at 1, 2, 4, ... sweeps;
     * while a row's parent pointers are acyclic, each potential is at
       least the weight of a simple parent path from a node still at
@@ -204,11 +214,13 @@ def _min_means(valid: np.ndarray):
 
     The start changes how many rounds a row takes, not what it yields.
     The argument above needs only that lambda is the mean of a real
-    cycle of the row and that the row's cycle is that cycle.  So the
-    last round of a row always starts from zero potentials at the
-    minimum mean, where no check finds a parent cycle.  Its sweeps, the
-    final potentials, the reduced costs and so the tight edges and the
-    tie-broken witness are those of any other start.
+    cycle of the row and that the row's cycle is that cycle, or that
+    lambda = 1 lies above every cycle mean of a row with no cycle of
+    length at most s.  So the last round of a row that has a cycle
+    always starts from zero potentials at the minimum mean, where no
+    check finds a parent cycle.  Its sweeps, the final potentials, the
+    reduced costs and so the tight edges and the tie-broken witness are
+    those of any other start.
 
     Raises AssertionError if the final potentials of a row fail to
     certify its mean.
@@ -264,32 +276,36 @@ def _min_means(valid: np.ndarray):
         low, high = d[:, :half], d[:, half:]
 
 
-def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[int]]]:
+def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[int] | None]]:
     """The least mean p/q (in lowest terms) over the cycles of length at
-    most s of each row of a (B, 2^s) mask stack, and one such cycle of
-    each row in parent order.
+    most s of each row of a (B, 2^s) mask stack, and its tie-broken
+    cycle in parent order, or (1, 1) and None for a row with none.
 
     A closed walk of length L <= s re-appends its own bits, so its words
     are the s-bit prefixes of the L-periodic sequence u u u ... and of
     its rotations, for an L-bit word u, and its weight is popcount(u).
-    A cycle of length d is also a closed walk of every multiple L of d,
-    with d's word repeated as u and the same mean, and one multiple lies
-    in s/2 < L <= s, so only those L are scanned.  For each, u is valid
-    when all L rotations spell valid words: the rotations are ANDed
-    together in ceil(log2 L) doubling steps, each a transpose of the
-    high and low bits of u.  Each row keeps the first least-weight u of
-    the shortest L at its least mean, cut to its primitive period.  The
-    all-ones word is always valid, at mean 1.
+    For each L in 1..s, u is valid when all L rotations spell valid
+    words: the rotations are ANDed together in ceil(log2 L) doubling
+    steps, each a transpose of the high and low bits of u.  Each row
+    keeps the first least-weight u of the shortest L at its least mean.
+    At that L no word of that mean has a shorter period, so the first
+    one is its own least rotation, and, as L <= s, the window u u u ...
+    is the smallest on its cycle.  Read from that window, the cycle is
+    min_mean_cycle's tie-broken witness among the cycles of length at
+    most s: shortest first, then the lexicographically smallest node
+    sequence.  Lengths
+    are compared on the common denominator lcm(1..s); the scaled weights
+    stay below lcm(1..s) * (s+1), which fits in int64 for s <= 41, and
+    the memory guard already refuses s >= 24.
     """
     rows, n = valid.shape
     s = n.bit_length() - 1
-    first = s // 2 + 1
     words = np.arange(n)
     ones = np.zeros(1, dtype=np.uint8)  # popcount of each s-bit word
     for _ in range(s):
         ones = np.concatenate([ones, ones + 1])
     weights, picks = [], []
-    for length in range(first, s + 1):
+    for length in range(1, s + 1):
         reps = -(-s // length)
         spell = words[:1 << length] * sum(1 << (length * j) for j in range(reps))
         ok = valid[:, spell >> (reps * length - s)]
@@ -303,21 +319,16 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[i
         picks.append(score.argmin(axis=1))
         weights.append(score[np.arange(rows), picks[-1]])
     # weight / L on a common denominator; argmin keeps the shortest L.
-    lengths = np.arange(first, s + 1)
+    lengths = np.arange(1, s + 1)
     scaled = np.array(weights, dtype=np.int64) * (math.lcm(*lengths.tolist()) // lengths)[:, None]
-    means, cycles = [], []
+    means, cycles = [(1, 1)] * rows, [None] * rows
     for r, i in enumerate(scaled.argmin(axis=0).tolist()):
-        bits = format(int(picks[i][r]), f"0{first + i}b")
-        q = next(d for d in range(1, len(bits) + 1) if bits == bits[d:] + bits[:d])
-        word, walk = 0, []
-        for j in range(s + q - 1):
-            word = (word << 1) & (n - 1) | int(bits[j % q])
-            if j >= s - 1:
-                walk.append(word)
-        p = bits[:q].count("1")
-        g = math.gcd(p, q)
-        means.append((p // g, q // g))
-        cycles.append(walk[::-1])
+        q = i + 1
+        if weights[i][r] <= q:  # else no valid word of any length
+            bits = format(int(picks[i][r]), f"0{q}b")
+            mean = Fraction(bits.count("1"), q)
+            means[r] = mean.numerator, mean.denominator
+            cycles[r] = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in reversed(range(q))]
     return means, cycles
 
 
@@ -349,7 +360,8 @@ def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
 
 
 def _extract_cycle(graph, tight, q) -> list[int]:
-    """Deterministic optimal cycle among the tight edges.
+    """Deterministic optimal cycle among the tight edges, when every
+    optimal cycle is longer than the window.
 
     tight[c, v] masks the edge into word v from (v >> 1) + c * 2^(s-1)
     of zero reduced cost: the tight cycles are exactly the optimal ones.
@@ -360,8 +372,6 @@ def _extract_cycle(graph, tight, q) -> list[int]:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
-    * a closed walk of length L through r re-appends r's own bits, so
-      r is L-periodic: r >> L == r mod 2^max(s-L, 0), true for L >= s;
     * the start, the smallest node on any shortest optimal cycle, is the
       root with the smallest (c(r), r), c(r) being the shortest closed
       walk through r over the nodes above it: those cycles through the
@@ -369,15 +379,13 @@ def _extract_cycle(graph, tight, q) -> list[int]:
     * no word on the cycle is below its start r, and the word j steps on
       has r's low s-j bits on top, so only prenecklaces are roots:
       r mod 2^(s-j) >= r >> j for every j in 1..s-1;
-    * lengths L = q, 2q, ... below s are tried in turn, each from the
-      L-periodic roots, so a first closure has the smallest (c(r), r);
-    * failing that, every c(r) is at least s.  One pass over the roots,
-      ascending, searches each to best - q, best being the least c(r)
-      so far (words.size, the longest simple cycle, before the first):
-      every closed tight walk has a length that is a multiple of q, so
-      ties keep the smaller root, and the pass stops once best - q < s.
-      This is the (c(r), r) that trying every root at each length
-      L >= s in turn picks, with one search per root;
+    * one pass over the roots, ascending, searches each to best - q,
+      best being the least c(r) so far (words.size, the longest simple
+      cycle, before the first): every closed tight walk has a length
+      that is a multiple of q, so ties keep the smaller root, and the
+      pass stops once best - q <= s, as no optimal cycle is that short.
+      This is the (c(r), r) that trying every root at each length in
+      turn picks, with one search per root;
     * a closed walk of the shortest length is a simple cycle, so a
       successor finishes it in exactly r steps iff its distance back to
       the start is r; the descent takes the smallest such one.
@@ -399,22 +407,12 @@ def _extract_cycle(graph, tight, q) -> list[int]:
     for j in range(1, graph.s):
         roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]
 
-    witness = None
-    for length in range(q, min(words.size + 1, graph.s), q):
-        low = (1 << (graph.s - length)) - 1
-        for start in roots[(roots >> length) == (roots & low)].tolist():
-            if found := _distances_to(edge, start, length):
-                witness = start, found
-                break
-        if witness is not None:
+    limit = words.size
+    for start in roots.tolist():
+        if limit <= graph.s:
             break
-    else:
-        limit = words.size
-        for start in roots.tolist():
-            if limit < graph.s:
-                break
-            if found := _distances_to(edge, start, limit):
-                witness, limit = (start, found), found[0] - q
+        if found := _distances_to(edge, start, limit):
+            witness, limit = (start, found), found[0] - q
     start, (length, dist) = witness
     cycle = [start]
     for remaining in range(length - 1, 0, -1):

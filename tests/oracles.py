@@ -11,7 +11,10 @@ from the solver's parametric Bellman-Ford search:
   cycles, so its mean is a weighted average of cycle means), and this
   stays feasible on graphs whose cycle count explodes.
 
-All arithmetic is integer; means are compared by cross-multiplication.
+A third oracle reads the cycles no longer than the window off their
+periodic words, one word at a time.
+
+All arithmetic is exact, on integers or Fractions.
 """
 
 from fractions import Fraction
@@ -115,3 +118,26 @@ def brute_force_cycles_tiny(graph):
     for root in graph.nodes:
         extend(root, root, [root])
     return cycles
+
+
+def short_cycle_by_periodic_words(graph):
+    """Least mean over the cycles of length at most s, and the cycle of
+    the shortest, then smallest, periodic word u of that mean whose
+    windows are all valid, in walk order from the window u u u ...
+
+    Every L-bit word u is tried for L = 1..s: its windows are the s-bit
+    prefixes of u u u ... and of its rotations.  A word with a shorter
+    period loses to that period, so the pick is primitive.  Returns
+    None if no word qualifies.
+    """
+    s = graph.s
+    best = None
+    for length in range(1, s + 1):
+        for u in range(1 << length):
+            bits = format(u, f"0{length}b")
+            cycle = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in range(length)]
+            if all(graph.valid[w] for w in cycle):
+                key = (Fraction(bits.count("1"), length), length, u)
+                if best is None or key < best[0]:
+                    best = key, cycle
+    return None if best is None else (best[0][0], best[1])

@@ -24,6 +24,7 @@ from oracles import (
     graph_edges,
     min_mean_by_closed_walks,
     min_mean_by_cycle_enumeration,
+    short_cycle_by_periodic_words,
 )
 
 small_families = st.lists(
@@ -141,6 +142,28 @@ def test_min_mean_cycle_rejects_acyclic():
         min_mean_cycle(WindowGraph(2, mask(0, 1, 0, 0)))  # 01 alone has no cycle
 
 
+def test_min_mean_cycle_matches_brute_force_on_random_masks():
+    # Hand-built masks up to span 5, many of them without the all-ones
+    # window: the mean, the shortest-then-lexicographic witness, and a
+    # ValueError exactly when there is no cycle.  First, the one 4-cycle
+    # 001 -> 011 -> 110 -> 100, longer than the window.
+    g = WindowGraph(3, mask(0, 1, 0, 1, 1, 0, 1, 0))
+    assert min_mean_cycle(g) == (Fraction(1, 2), [1, 3, 6, 4])
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        s = int(rng.integers(1, 6))
+        g = WindowGraph(s, rng.random(1 << s) < rng.uniform(0.2, 0.9))
+        cycles = brute_force_cycles_tiny(g)
+        if not cycles:
+            with pytest.raises(ValueError):
+                min_mean_cycle(g)
+            continue
+        best = min(Fraction(sum(w & 1 for w in c), len(c)) for c in cycles)
+        witness = min((len(c), c) for c in cycles
+                      if best.denominator * sum(w & 1 for w in c) == best.numerator * len(c))[1]
+        assert min_mean_cycle(g) == (best, witness), g.nodes
+
+
 def test_cycle_enumeration_oracle_on_01_graph():
     # Frozen from the brute-force enumeration of the 3-node graph:
     # cycles {01,10}, {11}, {01,11,10} with means 1/2, 1, 2/3.
@@ -176,26 +199,19 @@ def test_tie_break_is_shortest_then_lexicographic(text):
     assert cycle == min(c for c in others if len(c) == shortest)
 
 
-def test_witness_search_starts_only_where_a_walk_can_close(monkeypatch):
-    # A closed walk of length L < s through a word re-appends its own
-    # bits, so only L-periodic words can start one.  Span 14, mean 1/2,
-    # shortest optimal cycle 2: at most the four 2-periodic words are
-    # searched from.
+@pytest.mark.parametrize(
+    "text, window, cycle_length",
+    [("0,5,12,13;0,13", 14, 2), ("0,1,11", 12, 3), ("0,1,7", 8, 8)],
+)
+def test_no_witness_search_when_an_optimal_cycle_fits_the_window(monkeypatch, text, window, cycle_length):
+    # The shortest optimal cycle is no longer than the window, so it is
+    # read off the window mask and no tight-edge search runs, down to a
+    # witness exactly as long as the window.
     searches = []
-    real = solver._distances_to
-
-    def recording(edge, root, length):
-        searches.append((root, length))
-        return real(edge, root, length)
-
-    monkeypatch.setattr(solver, "_distances_to", recording)
-    r = exact_density(parse_family("0,5,12,13;0,13"))
-    assert (r.window_length, r.cycle_length) == (14, 2)
-    s = r.window_length
-    for root, length in searches:
-        if length < s:
-            assert root >> length == root & ((1 << (s - length)) - 1), (root, length)
-    assert 1 <= len(searches) <= 4
+    monkeypatch.setattr(solver, "_distances_to", lambda *args: searches.append(args))
+    r = exact_density(parse_family(text))
+    assert (r.window_length, r.cycle_length) == (window, cycle_length)
+    assert searches == []
 
 
 def test_witness_search_starts_only_from_prenecklaces(monkeypatch):
@@ -355,7 +371,8 @@ def test_search_starts_at_an_optimal_short_cycle(monkeypatch, text, cycle_length
 def test_short_cycles_equal_the_closed_walk_oracle():
     # On random families up to span 8, and on one stack of several rows,
     # each row's start is the least mean over closed walks of length at
-    # most s, and its cycle is a closed walk of that row with that mean.
+    # most s, and its cycle is a closed walk of that row with that mean:
+    # reversed, the one of the shortest, then smallest, periodic word.
     import random
 
     rng = random.Random(19)
@@ -376,6 +393,7 @@ def test_short_cycles_equal_the_closed_walk_oracle():
             assert len(cycle) <= g.s and all(g.valid[w] for w in cycle)
             # Parent order: each word's predecessor comes next.
             assert all(u == v >> 1 | (u & (1 << (g.s - 1))) for v, u in zip(cycle, cycle[1:] + cycle[:1]))
+            assert (Fraction(p, q), cycle[::-1]) == short_cycle_by_periodic_words(g), g.nodes
 
 
 def test_batch_yields_every_row_once_as_it_finishes(monkeypatch):
