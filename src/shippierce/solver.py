@@ -25,8 +25,9 @@ drops below its start, the start's cycle, read off the periodic words
 with this tie-break, is the witness.  Otherwise every optimal cycle is
 longer than the window.  Optimal cycles are exactly the cycles of
 tight (zero reduced cost) edges, and one is then extracted from them.
-The pattern read off the cycle is re-checked against the input family
-before it is returned, which certifies the upper bound.
+Every cycle is kept in walk order, the order a pattern appends its
+cells, so the pattern is read straight off it; it is re-checked against
+the input family before it is returned, which certifies the upper bound.
 
 exact_densities is the batch entry point for callers that need only
 densities: sweeps at more than one worker, the mirrored-triple check
@@ -61,7 +62,8 @@ MEMORY_GUARD_BYTES = 2 << 30
 BYTES_PER_WINDOW = 256
 
 # Potential of an invalid word.  An edge into one costs 2 * _INF, more than
-# any potential can fall, so edges touching one are never tight or negative.
+# any potential can fall, so edges touching one are never tight or negative,
+# and a word is valid exactly when the edges into it cost less than _INF.
 _INF = 1 << 60
 
 
@@ -147,31 +149,30 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     ones, the one whose node sequence (rotated to start at its smallest
     node) is lexicographically smallest.  Runs _min_means on the
     one-row stack of graph.valid.  A cycle it yields of length at most s
-    is its start, so lambda never dropped and that cycle, reversed into
-    walk order, is the witness (see _short_cycles).  Otherwise every
-    optimal cycle is longer than the window, and the witness is
-    extracted from the tight edges of the certified potentials.
+    is its start, so lambda never dropped and that cycle is the witness
+    (see _short_cycles).  Otherwise every optimal cycle is longer than
+    the window, and the witness is extracted from the tight edges of the
+    certified potentials.
 
     Raises ValueError if the graph has no cycle, and AssertionError if
     the final potentials fail to certify the mean.
     """
-    [(_, p, q, cycle, reduced)] = _min_means(graph.valid[None])
-    if cycle is not None and len(cycle) <= graph.s:
-        cycle = cycle[::-1]
-    else:
-        cycle = _extract_cycle(graph, reduced == 0, q)
-    assert q * sum(w & 1 for w in cycle) == p * len(cycle)
-    return Fraction(p, q), cycle
+    [(_, mean, cycle, tight)] = _min_means(graph.valid[None])
+    if cycle is None or len(cycle) > graph.s:
+        cycle = _extract_cycle(graph, tight, mean.denominator)
+    assert mean * len(cycle) == sum(w & 1 for w in cycle)
+    return mean, cycle
 
 
 def _min_means(valid: np.ndarray):
     """Certified minimum cycle mean of each row of a (B, 2^s) mask stack.
 
-    Yields (row, p, q, cycle, reduced) once per row, in the order the
-    rows finish: the minimum mean p/q of row's window graph, a cycle of
-    mean p/q in parent order, and the reduced edge costs, laid out as in
-    _extract_cycle, under potentials that certify p/q.  A row with no
-    cycle yields p/q = 1 and cycle None.
+    Yields (row, mean, cycle, tight) once per row, in the order the rows
+    finish: the minimum mean of row's window graph as a Fraction, a
+    cycle of that mean in walk order, and the mask of tight (zero
+    reduced cost) edges, laid out as in _extract_cycle, under potentials
+    that certify the mean.  A row with no cycle yields mean 1 and cycle
+    None.
 
     Each row starts from lambda = p/q, the least mean over its cycles of
     length at most s, and the tie-broken one of them (see
@@ -183,15 +184,16 @@ def _min_means(valid: np.ndarray):
     sweep counter serves the whole stack: the parent pointers of every
     row are checked for a cycle after 1, 2, 4, ... sweeps since the
     last time any row's lambda dropped.  When a row's pointers close a
-    cycle, that row's lambda drops to the cycle's mean and its sweeps
-    restart from zero potentials.  The first sweep that changes no potential in any row
+    cycle, that row's lambda drops to the cycle's mean, the cycle is
+    reversed into walk order, and the row's sweeps restart from zero
+    potentials.  The first sweep that changes no potential in any row
     ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
     * each row's lambda therefore runs through its start and the finite
-      set of its cycle means, so the counter is reset finitely often, and from
-      the last reset on the checks come at 1, 2, 4, ... sweeps;
+      set of its cycle means, so the counter is reset finitely often,
+      and from the last reset on the checks come at 1, 2, 4, ... sweeps;
     * while a row's parent pointers are acyclic, each potential is at
       least the weight of a simple parent path from a node still at
       potential 0, so potentials are bounded below.  They are integers
@@ -219,8 +221,8 @@ def _min_means(valid: np.ndarray):
     length at most s.  So the last round of a row that has a cycle
     always starts from zero potentials at the minimum mean, where no
     check finds a parent cycle.  Its sweeps, the final potentials, the
-    reduced costs and so the tight edges and the tie-broken witness are
-    those of any other start.
+    tight edges and so the tie-broken witness are those of any other
+    start.
 
     Raises AssertionError if the final potentials of a row fail to
     certify its mean.
@@ -230,7 +232,7 @@ def _min_means(valid: np.ndarray):
     half = n >> 1
     newest = np.arange(n) & 1
     rows = np.arange(len(valid))
-    p, q = np.array(means).T[:, :, None]
+    p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
     # All edges into a word carry the same weight: its newest bit.
     cost = np.where(valid, q * newest - p, 2 * _INF)
     d = np.where(valid, 0, _INF)
@@ -254,11 +256,11 @@ def _min_means(valid: np.ndarray):
                     continue
                 r = rows[i]
                 mean = Fraction(sum(w & 1 for w in cycle), len(cycle))
-                assert mean < Fraction(*means[r]), "parent cycle is not negative"
-                p, q = means[r] = mean.numerator, mean.denominator
-                cycles[r] = cycle
-                cost[i] = np.where(valid[i], q * newest - p, 2 * _INF)
-                d[i] = np.where(valid[i], 0, _INF)
+                assert mean < means[r], "parent cycle is not negative"
+                means[r], cycles[r] = mean, cycle[::-1]
+                node = cost[i] < _INF
+                cost[i] = np.where(node, mean.denominator * newest - mean.numerator, 2 * _INF)
+                d[i] = np.where(node, 0, _INF)
                 pick[i] = False
                 sweep = 0
         done = ~improved.any(axis=1)
@@ -269,17 +271,16 @@ def _min_means(valid: np.ndarray):
             if (reduced < 0).any():
                 raise AssertionError("potentials do not certify the minimum cycle mean")
             r = int(rows[i])
-            yield (r, *means[r], cycles[r], reduced)
-        rows, valid = rows[~done], valid[~done]
-        cost, d, pick = cost[~done], d[~done], pick[~done]
+            yield r, means[r], cycles[r], reduced == 0
+        rows, cost, d, pick = rows[~done], cost[~done], d[~done], pick[~done]
         up = up[:len(rows)]
         low, high = d[:, :half], d[:, half:]
 
 
-def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[int] | None]]:
-    """The least mean p/q (in lowest terms) over the cycles of length at
-    most s of each row of a (B, 2^s) mask stack, and its tie-broken
-    cycle in parent order, or (1, 1) and None for a row with none.
+def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | None]]:
+    """The least mean over the cycles of length at most s of each row of
+    a (B, 2^s) mask stack, and its tie-broken cycle in walk order, or
+    mean 1 and None for a row with none.
 
     A closed walk of length L <= s re-appends its own bits, so its words
     are the s-bit prefixes of the L-periodic sequence u u u ... and of
@@ -290,24 +291,22 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[i
     keeps the first least-weight u of the shortest L at its least mean.
     At that L no word of that mean has a shorter period, so the first
     one is its own least rotation, and, as L <= s, the window u u u ...
-    is the smallest on its cycle.  Read from that window, the cycle is
-    min_mean_cycle's tie-broken witness among the cycles of length at
-    most s: shortest first, then the lexicographically smallest node
-    sequence.  Lengths
-    are compared on the common denominator lcm(1..s); the scaled weights
-    stay below lcm(1..s) * (s+1), which fits in int64 for s <= 41, and
-    the memory guard already refuses s >= 24.
+    is the smallest on its cycle.  The cycle walks from that window, so
+    it is min_mean_cycle's tie-broken witness among the cycles of length
+    at most s: shortest first, then the lexicographically smallest node
+    sequence.  Lengths are compared on the common denominator
+    lcm(1..s); the scaled weights stay below lcm(1..s) * (s+1), which
+    fits in int64 for s <= 41, and the memory guard already refuses
+    s >= 24.
     """
     rows, n = valid.shape
     s = n.bit_length() - 1
-    words = np.arange(n)
-    ones = np.zeros(1, dtype=np.uint8)  # popcount of each s-bit word
-    for _ in range(s):
-        ones = np.concatenate([ones, ones + 1])
+    ones = np.zeros(1, dtype=np.uint8)  # popcount of each L-bit word
     weights, picks = [], []
     for length in range(1, s + 1):
+        ones = np.concatenate([ones, ones + 1])
         reps = -(-s // length)
-        spell = words[:1 << length] * sum(1 << (length * j) for j in range(reps))
+        spell = np.arange(1 << length) * sum(1 << (length * j) for j in range(reps))
         ok = valid[:, spell >> (reps * length - s)]
         step = 1
         while step < length:
@@ -315,20 +314,19 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[tuple[int, int]], list[list[i
             top = ok.reshape(rows, 1 << step, -1)
             np.bitwise_and(top, ok.reshape(rows, -1, 1 << step).transpose(0, 2, 1), out=top)
             step *= 2
-        score = np.where(ok, ones[:1 << length], np.uint8(length + 1))
+        score = np.where(ok, ones, np.uint8(length + 1))
         picks.append(score.argmin(axis=1))
         weights.append(score[np.arange(rows), picks[-1]])
     # weight / L on a common denominator; argmin keeps the shortest L.
     lengths = np.arange(1, s + 1)
     scaled = np.array(weights, dtype=np.int64) * (math.lcm(*lengths.tolist()) // lengths)[:, None]
-    means, cycles = [(1, 1)] * rows, [None] * rows
+    means, cycles = [Fraction(1)] * rows, [None] * rows
     for r, i in enumerate(scaled.argmin(axis=0).tolist()):
         q = i + 1
         if weights[i][r] <= q:  # else no valid word of any length
             bits = format(int(picks[i][r]), f"0{q}b")
-            mean = Fraction(bits.count("1"), q)
-            means[r] = mean.numerator, mean.denominator
-            cycles[r] = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in reversed(range(q))]
+            means[r] = Fraction(bits.count("1"), q)
+            cycles[r] = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in range(q)]
     return means, cycles
 
 
@@ -485,11 +483,9 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
     so that no stack charges more than MEMORY_GUARD_BYTES at
     BYTES_PER_WINDOW per window.  Both bounds are certified on every
     family: _min_means checks the potentials, and the pattern of the
-    row's cycle from _min_means is scaled back and verified as in
-    exact_density.  Parent pointers point back along a walk, so the
-    cycle is reversed first: read forwards, it pierces the mirrored
-    family.  No witness is tie-broken.  search.compute_extremes at more
-    than one worker, search.check_mirror_triples and
+    walk it yields for the row is scaled back and verified as in
+    exact_density.  No witness is tie-broken.  search.compute_extremes
+    at more than one worker, search.check_mirror_triples and
     closed_forms.three_ship_reflection_2d call it.
     """
     densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1
@@ -507,10 +503,10 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
         for start in range(0, len(group), size):
             batch = group[start:start + size]
             valid = np.stack([WindowGraph.from_family(reduced).valid for _, reduced, _ in batch])
-            for row, p, q, cycle, _ in _min_means(valid):
+            for row, mean, cycle, _ in _min_means(valid):
                 i, _, d = batch[row]
-                densities[i] = Fraction(p, q)
-                _verified_pattern(cycle[::-1], densities[i], d, families[i])
+                densities[i] = mean
+                _verified_pattern(cycle, mean, d, families[i])
     return densities
 
 

@@ -60,6 +60,11 @@ def test_toughest_2ships_agrees_with_solver(n):
     assert exact_density(fam).density == toughest_2ships_value(n)
 
 
+def test_toughest_2ships_family_rejects_n_0():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        toughest_2ships_family(0)
+
+
 def test_easiest_value():
     assert easiest_value(3, 4) == Fraction(1, 4)
     assert easiest_value(1, 1) == 1

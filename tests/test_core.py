@@ -10,6 +10,7 @@ from shippierce.core import (
     Family,
     ParseError,
     Ship,
+    Ship2D,
     make_family,
     normalize_ship,
     normalize_ship_2d,
@@ -108,6 +109,24 @@ def test_ship_invariants_enforced():
         Ship(())
     with pytest.raises(ValueError):
         Family(())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_family([[]]), "a ship needs at least one cell"),
+        (lambda: scale(make_family([[0, 1]]), 0), "scale factor must be positive"),
+        (lambda: Ship2D(()), "a ship needs at least one cell"),
+        (lambda: Ship2D(((0, 0), (0, 0))), "duplicate cell in 2D ship"),
+        (lambda: Ship2D(((0, 0), (1, 0), (0, 1))), "2D ship cells must be sorted"),
+        (lambda: Ship2D(((0, 1), (1, 0))), "2D ship must be anchored"),
+        (lambda: normalize_ship_2d([]), "a ship needs at least one cell"),
+    ],
+    ids=["empty-ship", "scale-0", "empty-2d", "duplicate-2d", "unsorted-2d", "unanchored-2d", "normalize-empty-2d"],
+)
+def test_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_parse_family_roundtrip():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from shippierce.solver import (
     exact_density,
     min_mean_cycle,
 )
-from shippierce.verifier import verify_pattern_1d
+from shippierce.verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 from oracles import (
     brute_force_cycles_tiny,
@@ -372,7 +373,7 @@ def test_short_cycles_equal_the_closed_walk_oracle():
     # On random families up to span 8, and on one stack of several rows,
     # each row's start is the least mean over closed walks of length at
     # most s, and its cycle is a closed walk of that row with that mean:
-    # reversed, the one of the shortest, then smallest, periodic word.
+    # in walk order, the one of the shortest, then smallest, periodic word.
     import random
 
     rng = random.Random(19)
@@ -387,13 +388,57 @@ def test_short_cycles_equal_the_closed_walk_oracle():
     graphs.append([WindowGraph.from_family(parse_family(t)) for t in ("0,1,7", "0,3,7", "0,1;0,4,7", "0,2,5,7")])
     for stack in graphs:
         means, cycles = solver._short_cycles(np.stack([g.valid for g in stack]))
-        for g, (p, q), cycle in zip(stack, means, cycles):
-            assert Fraction(p, q) == min_mean_by_closed_walks(g, max_length=g.s), g.nodes
-            assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == Fraction(p, q)
+        for g, mean, cycle in zip(stack, means, cycles):
+            assert isinstance(mean, Fraction)
+            assert mean == min_mean_by_closed_walks(g, max_length=g.s), g.nodes
+            assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == mean
             assert len(cycle) <= g.s and all(g.valid[w] for w in cycle)
-            # Parent order: each word's predecessor comes next.
-            assert all(u == v >> 1 | (u & (1 << (g.s - 1))) for v, u in zip(cycle, cycle[1:] + cycle[:1]))
-            assert (Fraction(p, q), cycle[::-1]) == short_cycle_by_periodic_words(g), g.nodes
+            # Walk order: each word's successor comes next.
+            assert all(v == (u << 1) & ((1 << g.s) - 1) | (v & 1) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+            assert (mean, cycle) == short_cycle_by_periodic_words(g), g.nodes
+
+
+def test_min_means_yields_fraction_means_walks_and_tight_masks():
+    # One span-10 stack: lambda drops in the first two rows (witnesses of
+    # 17 and 11 windows), and the last two start at the optimum (10 and 2
+    # windows).  Each row's cycle is a closed walk in walk order over
+    # valid words with the row's mean, on tight edges only.
+    texts = ["0,1,9", "0,2,9", "0,1,2,9", "0,1,8;0,8,9"]
+    graphs = [WindowGraph.from_family(parse_family(t)) for t in texts]
+    n = 1 << 10
+    lengths = {}
+    for row, mean, cycle, tight in solver._min_means(np.stack([g.valid for g in graphs])):
+        valid = graphs[row].valid
+        assert isinstance(mean, Fraction)
+        assert mean == exact_density(parse_family(texts[row])).density
+        assert all(valid[w] for w in cycle)
+        assert all(v == (u << 1) & (n - 1) | (v & 1) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == mean
+        # tight[c, v] is the edge into v from (v >> 1) + c * n / 2.
+        assert all(tight[u >> 9, v] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        lengths[row] = len(cycle)
+    assert lengths == {0: 17, 1: 11, 2: 10, 3: 2}
+
+
+def _drop_a_residue(x, d):
+    scaled = scale_pattern(x, d)
+    return Pattern1D(scaled.period, sorted(scaled.residues)[1:])
+
+
+@pytest.mark.parametrize("solve", [exact_density, lambda f: exact_densities([f])], ids=["single", "batch"])
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("verify_pattern_1d", lambda x, f: (0, 0), "optimal pattern failed verification at (0, 0)"),
+        ("scale_pattern", _drop_a_residue, "optimal cycle density mismatch"),
+    ],
+)
+def test_upper_bound_certificate_fires_in_both_entry_points(monkeypatch, solve, name, fake, message):
+    # A pattern that misses a ship translate, or whose density is not the
+    # cycle's, is refused rather than returned.  0,2,6 is scaled by 2.
+    monkeypatch.setattr(solver, name, fake)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        solve(parse_family("0,2,6"))
 
 
 def test_batch_yields_every_row_once_as_it_finishes(monkeypatch):

@@ -96,6 +96,11 @@ def test_scale_pattern_density_unchanged():
     assert scale_pattern(x, 1) is x
 
 
+def test_scale_pattern_rejects_factor_0():
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        scale_pattern(Pattern1D(5, {0, 2}), 0)
+
+
 def test_pattern_text_roundtrip():
     x = parse_pattern_1d("5:0,2")
     assert (x.period, sorted(x.residues)) == (5, [0, 2])
