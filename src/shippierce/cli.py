@@ -17,6 +17,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -109,12 +110,7 @@ def cmd_search(args):
         "min": format_density(report.min_density),
         "min_witness": str(report.min_witness),
     }
-    lines = [
-        "families {families} raw {raw}",
-        "max {max} witness {max_witness}",
-        "min {min} witness {min_witness}",
-    ]
-    return EXIT_OK, payload, [line.format_map(payload) for line in lines]
+    return EXIT_OK, payload, report.summary_lines()
 
 
 def cmd_mirror_triples(args):
@@ -165,14 +161,7 @@ def cmd_formula(args):
 
 def cmd_bounds(args):
     report = closed_forms.density_bounds(args.n, args.k)
-    payload = {
-        "n": report.n,
-        "k": report.k,
-        "lower": report.lower,
-        "upper": report.upper,
-        "upper_rational_part": str(report.upper_rational_part),
-        "vacuous_lower": report.vacuous_lower,
-    }
+    payload = {**dataclasses.asdict(report), "upper_rational_part": str(report.upper_rational_part)}
     lines = [
         "lower {lower!r}" + (" (vacuous)" if report.vacuous_lower else ""),
         "upper {upper_rational_part}"

@@ -14,13 +14,14 @@ the texts of its ships, and each density is kept as its `p/q` string.
 The max and min come from the distinct density strings, one Fraction
 each, and a Family is built only for the two witnesses.
 
-A sweep at one worker solves its families in one process, one
-exact_density call per family.  At more workers, each chunk of
-families is solved with the batch entry point solver.exact_densities:
-in one process when there is only one chunk, and across a process pool
-otherwise.  It can keep a resumable results file: one
-`family<TAB>p/q` line per family in lexicographic order, then a
-'#'-prefixed summary block.
+A sweep takes one of two paths for the families left to solve.  At one
+worker it solves them in this process, one exact_density call per
+family.  At more workers it cuts them into chunks and solves each chunk
+with the batch entry point solver.exact_densities: across a process
+pool from two chunks up, and in this process when there is one chunk.
+A sweep with nothing left to solve calls no solver.  It can keep a
+resumable results file: one `family<TAB>p/q` line per family in
+lexicographic order, then a '#'-prefixed summary block.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ class SearchReport:
     families_examined: int
     families_raw: int
 
+    def summary_lines(self) -> list[str]:
+        """The counts, max and min lines that the `search` command prints
+        and that close a results file's summary block after a '# '."""
+        return [
+            f"families {self.families_examined} raw {self.families_raw}",
+            f"max {format_density(self.max_density)} witness {self.max_witness}",
+            f"min {format_density(self.min_density)} witness {self.min_witness}",
+        ]
+
 
 # Families sent to a worker process per task, which solves them in one
 # batch per reduced span.  Larger chunks make larger batches, with fewer
@@ -169,6 +179,13 @@ def compute_extremes(
     reports are identical across runs and worker counts; a Family is
     parsed only for them.
 
+    The families left to solve take one of two paths.  At workers=1
+    each is solved on its own with exact_density, in this process.  At
+    more workers they are cut into chunks of POOL_CHUNKSIZE, each solved
+    as one batch by _densities: in a pool of at most one worker per
+    chunk from two chunks up, and in this process for a single chunk.
+    With nothing left to solve, no solver is called.
+
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
     `family<TAB>p/q` line in enumeration order at every worker count,
@@ -197,18 +214,19 @@ def compute_extremes(
         out = stack.enter_context(open(results_path, "a")) if results_path else None
         if old_text and not old_text.endswith("\n"):
             out.write("\n")
-        if workers > 1 and len(todo) > POOL_CHUNKSIZE:
-            # The pool forks all its workers at the first submit, so it
-            # gets no more of them than there are chunks to solve.
+        if workers > 1:
             chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            solved = chain.from_iterable(pool.map(_densities, chunks, repeat(span_cap)))
-        elif workers > 1:
             # A single chunk is solved as one batch in this process: only
             # one pool worker could run on it, and the fork costs more
-            # than the chunk's solve.
-            solved = _densities(todo, span_cap)
+            # than the chunk's solve.  No chunk means no solver call.
+            solve = map
+            if len(chunks) > 1:
+                # The pool forks all its workers at the first submit, so it
+                # gets no more of them than there are chunks to solve.
+                pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+                stack.callback(pool.shutdown, cancel_futures=True)
+                solve = pool.map
+            solved = chain.from_iterable(solve(_densities, chunks, repeat(span_cap)))
         else:
             # One worker solves one family at a time in this process, so
             # wrappers installed on this module's functions (tracing,
@@ -251,15 +269,7 @@ def _write_results(path: Path, texts, fracs, report: SearchReport, old_text: str
     lines = [f"{t}\t{frac}" for t, frac in zip(texts, fracs)]
     lines.append("# summary")
     lines.append(f"# n {report.n} k {report.k} span_budget {report.span_budget}")
-    lines.append(
-        f"# families {report.families_examined} raw {report.families_raw}"
-    )
-    lines.append(
-        f"# max {format_density(report.max_density)} witness {report.max_witness}"
-    )
-    lines.append(
-        f"# min {format_density(report.min_density)} witness {report.min_witness}"
-    )
+    lines += [f"# {line}" for line in report.summary_lines()]
     text = "\n".join(lines) + "\n"
     if text == old_text:
         return

@@ -160,6 +160,8 @@ def test_search_command(capsys, tmp_path):
     assert code == 0
     assert "max 2/3 witness 0,1;0,2" in out
     assert out_file.exists() and "# summary" in out_file.read_text()
+    summary = out_file.read_text().splitlines()[-3:]
+    assert out.splitlines() == [line.removeprefix("# ") for line in summary]
 
     code, jout, _ = run(
         capsys, "search", "--n", "2", "--k", "2", "--max-span", "9", "--json"

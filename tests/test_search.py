@@ -357,7 +357,8 @@ def test_pool_batches_match_golden_results(tmp_path, monkeypatch, n, k, budget):
     assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
 
 
-def test_golden_table_resumes_without_solving(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_table_resumes_without_solving(tmp_path, monkeypatch, workers):
     def no_solve(*args, **kwargs):
         raise AssertionError("a cached family was solved again")
 
@@ -374,7 +375,7 @@ def test_golden_table_resumes_without_solving(tmp_path, monkeypatch):
         n, k, budget = map(int, name.groups())
         path = tmp_path / golden.name
         path.write_bytes(golden.read_bytes())
-        report = compute_extremes(n, k, budget, results_path=path, workers=1)
+        report = compute_extremes(n, k, budget, results_path=path, workers=workers)
         assert path.read_bytes() == golden.read_bytes(), golden.name
         expected = [
             ("max", report.max_density, report.max_witness),
