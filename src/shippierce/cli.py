@@ -175,7 +175,10 @@ def cmd_bounds(args):
 def cmd_construct(args):
     payload = {}
     if args.kind == "greedy":
-        gaps = [int(tok) for tok in args.gaps.split(",")]
+        try:
+            gaps = [int(tok) for tok in args.gaps.split(",")]
+        except ValueError:
+            raise ParseError(f"bad --gaps value {args.gaps!r}; expected comma-separated integers")
         pattern = constructions.greedy_two_sided(gaps, horizon=args.horizon)
     elif args.kind == "slab":
         pattern = constructions.slab_pattern(args.a, args.b)

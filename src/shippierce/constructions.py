@@ -33,7 +33,8 @@ def greedy_two_sided(gaps, horizon: int | None = None) -> Pattern1D:
     cells) is a deterministic a_n-bit word, so the sweep enters a cycle
     within 2^(a_n) steps; the cycle is returned as the pattern.  The
     mirrored downward sweep adds nothing to the asymptotic density, so
-    only the upward tail is materialized.
+    only the upward tail is materialized.  horizon caps the sweep's
+    steps, and GreedyHorizonError is raised if no cycle closes within it.
     """
     gaps = sorted(set(int(g) for g in gaps))
     if not gaps or gaps[0] < 1:
@@ -41,6 +42,8 @@ def greedy_two_sided(gaps, horizon: int | None = None) -> Pattern1D:
     top = gaps[-1]
     if horizon is None:
         horizon = (1 << top) * (top + 1) + top
+    elif horizon < 1:
+        raise ValueError("need horizon >= 1")
 
     # Bit i of the state: cell (current + i) already forced to 1.
     force = 0

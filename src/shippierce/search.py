@@ -6,8 +6,8 @@ family-wide scaling (only families whose offsets have gcd 1 are
 emitted), and whole-family mirroring (the lexicographically smaller of
 a family and its mirror image is emitted).  The per-class extremes of
 the exact solver reproduce the extremes over all families.  The
-enumeration works on indices into the sorted list of ships, so both
-tests are made on small int tuples.
+enumeration works on indices into the sorted list of ships, and makes
+both tests on numpy blocks of index rows (see enumerate_families).
 
 A sweep builds no object per family: each family's text is joined from
 the texts of its ships, and each density is kept as its `p/q` string.
@@ -32,9 +32,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 from .constructions import slab_family
 from .core import Family, Ship, format_density, offset_gcd, parse_family
@@ -52,8 +54,17 @@ def ships_with_span(k: int, span_budget: int) -> list[Ship]:
 
 
 def raw_family_count(n: int, k: int, span_budget: int) -> int:
-    """Families of n distinct k-cell ships before the symmetry quotient."""
-    return math.comb(len(ships_with_span(k, span_budget)), n)
+    """Families of n distinct k-cell ships before the symmetry quotient:
+    n of the C(span_budget - 1, k - 1) ships of ships_with_span."""
+    ships = math.comb(span_budget - 1, k - 1) if 1 <= k <= span_budget else 0
+    return math.comb(ships, n)
+
+
+# Index combinations tested per numpy block by enumerate_families.  A
+# block of 2^16 rows of n indices takes n/2 MiB per intp array, while all
+# combinations of a large type at once would not fit: (4, 3, 20) has
+# C(171, 4), about 34.4M, rows, about 1.1 GB of intp.
+ENUM_BLOCK_ROWS = 1 << 16
 
 
 def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[str]:
@@ -71,21 +82,36 @@ def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[str]:
     - mirroring a k-cell ship keeps its span, so it maps the list onto
       itself and every mirror ship has an index;
     - mirroring is one-to-one and the list is sorted, so the sorted
-      mirror index tuple is the mirror family, and comparing it with
-      the combination compares the mirror family with the family;
+      mirror index row is the mirror family, and comparing it with the
+      combination compares the mirror family with the family;
     - gcd is associative, so the family-wide gcd is the gcd of the
       ships' gcds.
+
+    The combinations are drawn in lexicographic order and tested in
+    numpy blocks of at most ENUM_BLOCK_ROWS index rows, one array
+    operation per test and block instead of Python work per
+    combination.  A text is joined only for a kept row.  Blocks keep
+    the generator streaming with bounded memory on types too large to
+    hold all their combinations at once.
     """
     if n < 1 or k < 1 or span_budget < k:
         raise ValueError("need n >= 1, k >= 1, span_budget >= k")
     ships = ships_with_span(k, span_budget)
     index = {ship: i for i, ship in enumerate(ships)}
-    mirror = [index[ship.reflect()] for ship in ships].__getitem__
-    gcd = [offset_gcd([ship]) for ship in ships].__getitem__
-    ship_text = [str(ship) for ship in ships].__getitem__
-    for combo in combinations(range(len(ships)), n):
-        if tuple(sorted(map(mirror, combo))) >= combo and math.gcd(*map(gcd, combo)) <= 1:
-            yield ";".join(map(ship_text, combo))
+    mirror = np.array([index[ship.reflect()] for ship in ships], dtype=np.intp)
+    gcd = np.array([offset_gcd([ship]) for ship in ships], dtype=np.intp)
+    ship_text = np.array([str(ship) for ship in ships], dtype=object)
+    combos = chain.from_iterable(combinations(range(len(ships)), n))
+    while True:
+        block = np.fromiter(islice(combos, ENUM_BLOCK_ROWS * n), dtype=np.intp).reshape(-1, n)
+        if not len(block):
+            return
+        # Each row against its sorted mirror row: the first column where
+        # they differ decides, and a row equal to its mirror is kept.
+        diff = np.sort(mirror[block], axis=1) - block
+        first = diff[np.arange(len(block)), (diff != 0).argmax(axis=1)]
+        keep = (first >= 0) & (np.gcd.reduce(gcd[block], axis=1) <= 1)
+        yield from map(";".join, ship_text[block[keep]].tolist())
 
 
 @dataclass(frozen=True)

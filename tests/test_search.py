@@ -1,3 +1,4 @@
+import math
 import os
 import re
 from collections import Counter
@@ -41,8 +42,7 @@ def test_enumerate_emits_canonical_forms_only():
         assert all(s.size == 3 and s.span <= 7 for s in f.ships)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumerate_equals_the_definition(n):
+def assert_enumerate_equals_the_definition(n):
     # Straight from the definition: combinations of sorted ships, with
     # family-wide offset gcd at most 1, that are <= their mirror image.
     # k = 1 and small budgets leave fewer ships than n.
@@ -54,6 +54,68 @@ def test_enumerate_equals_the_definition(n):
                 if offset_gcd(combo) <= 1 and not reflect(family) < family:
                     reference.append(str(family))
             assert list(enumerate_families(n, k, budget)) == reference, (n, k, budget)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_equals_the_definition(n):
+    assert_enumerate_equals_the_definition(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_equals_the_definition_across_small_blocks(monkeypatch, n):
+    # Blocks of 7 rows: kept and dropped rows fall on both sides of many
+    # block boundaries, and the last block of most types is partial.
+    monkeypatch.setattr(shippierce.search, "ENUM_BLOCK_ROWS", 7)
+    assert_enumerate_equals_the_definition(n)
+
+
+def test_enumerate_equals_the_per_combination_filter():
+    # The same two tests made one index tuple at a time, as a reference
+    # for the numpy blocks.  (2, 3, 30) has C(406, 2) = 82,215
+    # combinations, so it spans two blocks of the default size.
+    n, k, budget = 2, 3, 30
+    ships = ships_with_span(k, budget)
+    assert raw_family_count(n, k, budget) == 82_215 > shippierce.search.ENUM_BLOCK_ROWS
+    index = {ship: i for i, ship in enumerate(ships)}
+    mirror = [index[ship.reflect()] for ship in ships]
+    gcd = [offset_gcd([ship]) for ship in ships]
+    reference = [
+        ";".join(str(ships[i]) for i in combo)
+        for combo in combinations(range(len(ships)), n)
+        if tuple(sorted(mirror[i] for i in combo)) >= combo
+        and math.gcd(*(gcd[i] for i in combo)) <= 1
+    ]
+    assert list(enumerate_families(n, k, budget)) == reference
+
+
+def test_enumerate_streams_one_block_at_a_time(monkeypatch):
+    # The first text needs only the first block of combinations, however
+    # many the type has: (4, 3, 20) has C(171, 4), about 34.4M.  Draws are
+    # counted per combination size r, since ships_with_span draws its
+    # ships' offsets from combinations too.
+    drawn = Counter()
+
+    def counting(iterable, r):
+        for combo in combinations(iterable, r):
+            drawn[r] += 1
+            yield combo
+
+    monkeypatch.setattr(shippierce.search, "combinations", counting)
+    monkeypatch.setattr(shippierce.search, "ENUM_BLOCK_ROWS", 1000)
+    families = enumerate_families(4, 3, 20)
+    assert drawn[4] == 0
+    assert next(families) == "0,1,2;0,1,3;0,1,4;0,1,5"
+    assert 0 < drawn[4] <= 1000
+    assert next(families) == "0,1,2;0,1,3;0,1,4;0,1,6"
+    assert drawn[4] <= 1000
+
+
+def test_raw_family_count_counts_ships_with_span():
+    for n in range(5):
+        for k in range(-1, 8):
+            for budget in range(-2, 12):
+                expected = math.comb(len(ships_with_span(k, budget)), n)
+                assert raw_family_count(n, k, budget) == expected, (n, k, budget)
 
 
 def test_enumerate_is_deterministic_stream():
