@@ -16,11 +16,13 @@ each, and a Family is built only for the two witnesses.
 
 A sweep takes one of two paths for the families left to solve.  At one
 worker it solves them in this process, one exact_density call per
-family.  At more workers it cuts them into chunks and solves each chunk
-with the batch entry point solver.exact_densities: across a process
-pool from two chunks up, and in this process when there is one chunk.
-A sweep with nothing left to solve calls no solver.  It can keep a
-resumable results file: one `family<TAB>p/q` line per family in
+family, in enumeration order.  At more workers it sorts them by span,
+largest first, cuts them into chunks and solves each chunk with the
+batch entry point solver.exact_densities: across a process pool from
+two chunks up, and in this process when there is one chunk.  A sweep
+with nothing left to solve calls no solver.  It can keep a resumable
+results file.  Lines are appended to it in the order the families are
+solved, and at the end it holds one `family<TAB>p/q` line per family in
 lexicographic order, then a '#'-prefixed summary block.
 """
 
@@ -147,6 +149,11 @@ class SearchReport:
 POOL_CHUNKSIZE = 64
 
 
+def _text_span(text: str) -> int:
+    """The span of a family text: its largest last offset plus 1."""
+    return 1 + max(int(ship.rpartition(",")[2]) for ship in text.split(";"))
+
+
 def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
     return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
 
@@ -207,19 +214,22 @@ def compute_extremes(
 
     The families left to solve take one of two paths.  At workers=1
     each is solved on its own with exact_density, in this process.  At
-    more workers they are cut into chunks of POOL_CHUNKSIZE, each solved
-    as one batch by _densities: in a pool of at most one worker per
-    chunk from two chunks up, and in this process for a single chunk.
-    With nothing left to solve, no solver is called.
+    more workers they are sorted by span, largest first and in
+    enumeration order within a span, and cut into chunks of
+    POOL_CHUNKSIZE, each solved as one batch by _densities: in a pool of
+    at most one worker per chunk from two chunks up, and in this process
+    for a single chunk.  With nothing left to solve, no solver is
+    called.
 
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
-    `family<TAB>p/q` line in enumeration order at every worker count,
-    flushed every checkpoint_every lines, so a killed sweep keeps its
-    flushed lines.  A last line cut off without its newline is closed
-    first, so the first appended line is not glued onto it.  At the end
-    the file is replaced by one in canonical order with a summary
-    block, unless it already holds exactly that.
+    `family<TAB>p/q` line in the order it was solved: enumeration order
+    at one worker, span order at more.  Lines are flushed every
+    checkpoint_every lines, so a killed sweep keeps its flushed lines.
+    A last line cut off without its newline is closed first, so the
+    first appended line is not glued onto it.  At the end the file is
+    replaced by one in canonical order with a summary block, unless it
+    already holds exactly that.
     """
     if span_budget > span_cap:
         raise ValueError("span_budget exceeds span_cap")
@@ -241,6 +251,11 @@ def compute_extremes(
         if old_text and not old_text.endswith("\n"):
             out.write("\n")
         if workers > 1:
+            # Largest span first, enumeration order within a span (a stable
+            # sort).  With offset gcd 1 this is the reduced span that
+            # exact_densities stacks by, so chunks make fewer, fuller
+            # stacks, and the pool gets its heaviest chunks first.
+            todo.sort(key=_text_span, reverse=True)
             chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
             # A single chunk is solved as one batch in this process: only
             # one pool worker could run on it, and the fork costs more

@@ -336,19 +336,20 @@ def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
     parent holds the rows end to end and points into the whole array;
     -1 marks a word without a parent.  A cycle is returned as the word
     indices within its row.  Pointer doubling sends every node at least
-    n steps up its parent chain (nodes without a parent point at a
-    sentinel that points at itself), which lands exactly on the nodes
-    of parent cycles.  It stops early once every chain has reached the
-    sentinel.
+    n steps up its parent chain, which lands exactly on the nodes of
+    parent cycles.  The jump table is parent with a sentinel appended
+    that holds -1, so -1 both marks a word without a parent and indexes
+    the sentinel, which points at itself: no pass rewrites the -1s.
+    Doubling stops early once every chain has reached the sentinel.
     """
     end = len(parent)
     cycles = [None] * (end // n)
-    jump = np.append(np.where(parent >= 0, parent, end), end)
+    jump = np.append(parent, -1)
     for _ in range(n.bit_length()):
         jump = jump[jump]
-        if jump.min() == end:
+        if jump.max() < 0:
             return cycles
-    on_cycle = (jump[:end] < end).reshape(len(cycles), n)
+    on_cycle = (jump[:end] >= 0).reshape(len(cycles), n)
     for r in np.flatnonzero(on_cycle.any(axis=1)).tolist():
         cycle = [int(jump[r * n + on_cycle[r].argmax()])]
         while (u := int(parent[cycle[-1]])) != cycle[0]:

@@ -73,13 +73,18 @@ def verify_pattern_1d(x: Pattern1D, f: Family) -> tuple[int, int] | None:
 
     Otherwise the lexicographically first failure as (ship index,
     translate offset n), with n in [0, period).
+
+    It checks the set of anchors that each ship's translates hit: the
+    translate anchored at n hits the shot r through its offset a iff
+    n = (r - a) mod p.  So the pattern pierces the ship iff that set is
+    all of [0, p), and the ship's first failure is the smallest anchor
+    missing from it.
     """
     p = x.period
-    shot = x.residues
     for i, ship in enumerate(f.ships):
-        for n in range(p):
-            if not any((n + a) % p in shot for a in ship.offsets):
-                return (i, n)
+        hit = {(r - a) % p for r in x.residues for a in ship.offsets}
+        if len(hit) < p:
+            return (i, min(set(range(p)) - hit))
     return None
 
 

@@ -12,7 +12,8 @@ from the solver's parametric Bellman-Ford search:
   stays feasible on graphs whose cycle count explodes.
 
 A third oracle reads the cycles no longer than the window off their
-periodic words, one word at a time.
+periodic words, one word at a time.  A fourth checks a 1D pattern
+against a family by its definition, one translate at a time.
 
 All arithmetic is exact, on integers or Fractions.
 """
@@ -141,3 +142,15 @@ def short_cycle_by_periodic_words(graph):
                 if best is None or key < best[0]:
                     best = key, cycle
     return None if best is None else (best[0][0], best[1])
+
+
+def first_missed_translate_1d(pattern, family):
+    """None if every translate of every ship hits a shot, else the first
+    missed one as (ship index, anchor n), trying ships in order and each
+    anchor n in [0, period) in turn."""
+    p = pattern.period
+    for i, ship in enumerate(family.ships):
+        for n in range(p):
+            if not any((n + a) % p in pattern.residues for a in ship.offsets):
+                return (i, n)
+    return None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from shippierce.verifier import (
     verify_pattern_1d,
     verify_pattern_2d,
 )
+
+from oracles import first_missed_translate_1d
 
 
 def test_density_examples():
@@ -34,6 +37,32 @@ def test_witness_is_lexicographically_first():
     x = Pattern2D((2, 2), set())
     fam = Family((normalize_ship_2d([(0, 0), (1, 0)]),))
     assert verify_pattern_2d(x, fam) == (0, (0, 0))
+
+
+def test_verify_1d_matches_the_definition():
+    rng = random.Random(24)
+    late_misses = 0
+    for _ in range(3000):
+        period = rng.randint(1, 12)
+        raw = [rng.sample(range(-8, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        f = make_family(raw)
+        # Empty, full, random, or full but for the cells of one translate.
+        residues = rng.choice([
+            set(),
+            set(range(period)),
+            {r for r in range(period) if rng.random() < 0.5},
+            None,
+        ])
+        if residues is None:
+            ship, n = rng.choice(f.ships), rng.randrange(period)
+            residues = set(range(period)) - {(n + a) % period for a in ship.offsets}
+        x = Pattern1D(period, residues)
+        expected = first_missed_translate_1d(x, f)
+        assert verify_pattern_1d(x, f) == expected, (x, f)
+        late_misses += expected is not None and min(expected) > 0
+    # Enough first misses lie past ship 0 and past anchor 0 to tell the
+    # first failure from a later one.
+    assert late_misses >= 50
 
 
 def test_verify_translation_invariant():
