@@ -180,20 +180,19 @@ def _min_means(valid: np.ndarray):
     with no cycle: a longer cycle is not the all-ones self-loop, so its
     mean is below 1.  All rows are swept at once on the integer edge
     weights q*w - p of their own lambda, from zero potentials; a node's
-    potential and parent pointer change only on a strict decrease.  One
-    sweep counter serves the whole stack: the parent pointers of every
-    row are checked for a cycle after 1, 2, 4, ... sweeps since the
-    last time any row's lambda dropped.  When a row's pointers close a
-    cycle, that row's lambda drops to the cycle's mean, the cycle is
-    reversed into walk order, and the row's sweeps restart from zero
-    potentials.  The first sweep that changes no potential in any row
-    ends the search, and it always comes:
+    potential and parent pointer change only on a strict decrease.  The
+    parent pointers of every row are checked for a cycle after sweeps 1,
+    2, 4, ... of the stack, whatever any row's lambda does.  When a
+    row's pointers close a cycle, that row's lambda drops to the cycle's
+    mean, the cycle is reversed into walk order, and the row's sweeps
+    restart from zero potentials.  The first sweep that changes no
+    potential in any row ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
     * each row's lambda therefore runs through its start and the finite
-      set of its cycle means, so the counter is reset finitely often,
-      and from the last reset on the checks come at 1, 2, 4, ... sweeps;
+      set of its cycle means, and checks recur at every power of two,
+      so a row with a negative cycle is caught at some check;
     * while a row's parent pointers are acyclic, each potential is at
       least the weight of a simple parent path from a node still at
       potential 0, so potentials are bounded below.  They are integers
@@ -212,7 +211,9 @@ def _min_means(valid: np.ndarray):
     check, or after a sweep that changes no row, every row that sweep
     left unchanged is certified, yielded and dropped from the stack, and
     the loop ends when no row is left.  Every other sweep issues the
-    same numpy calls at any B.
+    same numpy calls at any B.  As the schedule is fixed and rows touch
+    only their own slices, a row's lambda drops and final potentials are
+    those it reaches alone: its result does not depend on its stack.
 
     The start changes how many rounds a row takes, not what it yields.
     The argument above needs only that lambda is the mean of a real
@@ -262,7 +263,6 @@ def _min_means(valid: np.ndarray):
                 cost[i] = np.where(node, mean.denominator * newest - mean.numerator, 2 * _INF)
                 d[i] = np.where(node, 0, _INF)
                 pick[i] = False
-                sweep = 0
         done = ~improved.any(axis=1)
         if not done.any():
             continue

@@ -330,8 +330,8 @@ def test_batch_reverses_parent_cycles_into_walk_order():
 
 
 def test_parent_checks_follow_the_doubling_schedule(monkeypatch):
-    # Parent pointers are checked after 1, 2, 4, ... sweeps since the
-    # last drop of lambda, and never after the sweep that ends a solve.
+    # Parent pointers are checked after sweeps 1, 2, 4, ... of the stack,
+    # and never after the sweep that ends a solve.
     calls = []
     real = solver._parent_cycle
 
@@ -341,14 +341,49 @@ def test_parent_checks_follow_the_doubling_schedule(monkeypatch):
         return cycles
 
     monkeypatch.setattr(solver, "_parent_cycle", counting)
-    expected = {"0,1,3": 7, "0,1,11": 5, "0,5,12,13;0,13": 5, "0,1,12;0,12,13": 8, "0,15,16;0,16": 9}
+    expected = {"0,1,3": 4, "0,1,11": 5, "0,5,12,13;0,13": 5, "0,1,12;0,12,13": 8, "0,15,16;0,16": 6}
     for text, count in expected.items():
         calls.clear()
         exact_density(parse_family(text))
         assert len(calls) == count, text
     calls.clear()
     exact_densities([parse_family(t) for t in BATCH_FAMILIES])
-    assert (len(calls), sum(calls)) == (51, 503)
+    assert (len(calls), sum(calls)) == (22, 296)
+
+
+def test_stacked_rows_solve_as_they_do_alone(monkeypatch):
+    # A row's lambda drops and result do not depend on the other rows of
+    # its stack: each row yields the mean, cycle and tight mask of its
+    # one-row solve, and the stack checks as often as its slowest row.
+    calls = []
+    real = solver._parent_cycle
+
+    def counting(parent, n):
+        calls.append(None)
+        return real(parent, n)
+
+    monkeypatch.setattr(solver, "_parent_cycle", counting)
+    groups = {}
+    for f in map(parse_family, BATCH_FAMILIES):
+        if all(ship.size > 1 for ship in f.ships):
+            reduced = scale_reduce(f)[0]
+            groups.setdefault(reduced.span, []).append(reduced)
+    groups[10] = [parse_family(f"0,{a},9") for a in (1, 2, 4, 5, 7, 8)]
+    for span, group in groups.items():
+        valid = np.stack([WindowGraph.from_family(f).valid for f in group])
+        alone, checks = [], []
+        for row in valid:
+            calls.clear()
+            [(_, mean, cycle, tight)] = solver._min_means(row[None])
+            alone.append((mean, cycle, tight))
+            checks.append(len(calls))
+        calls.clear()
+        stacked = {row: (mean, cycle, tight) for row, mean, cycle, tight in solver._min_means(valid)}
+        assert len(calls) == max(checks), span
+        assert sorted(stacked) == list(range(len(group)))
+        for row, (mean, cycle, tight) in stacked.items():
+            assert (mean, cycle) == alone[row][:2], (span, str(group[row]))
+            assert np.array_equal(tight, alone[row][2]), (span, str(group[row]))
 
 
 @pytest.mark.parametrize("text, cycle_length", [("0,1,11", 3), ("0,6,7", 8)])
