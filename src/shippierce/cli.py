@@ -12,6 +12,10 @@ which default to one `key value` line per payload entry.
 Commands that take --span-cap default it from the SHIPPIERCE_SPAN_CAP
 environment variable when it is set; other commands ignore the
 variable.
+Importing this module loads only core, solver and verifier, which
+`density` and `verify` run.  A command that needs search,
+closed_forms or constructions imports it when it runs, so `density`
+starts without them and without the process pool that search can use.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import json
 import os
 import sys
 
-from . import closed_forms, constructions, search
 from .core import Family, ParseError, format_density, parse_family, parse_family_2d, parse_family_file
 from .solver import DEFAULT_SPAN_CAP, MemoryGuardError, SpanCapError, exact_density
 from .verifier import (
@@ -93,6 +96,8 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
+    from . import search
+
     report = search.compute_extremes(
         n=args.n,
         k=args.k,
@@ -114,6 +119,8 @@ def cmd_search(args):
 
 
 def cmd_mirror_triples(args):
+    from . import search
+
     report = search.check_mirror_triples(span_cap=args.span_cap)
     payload = {
         "rows": [
@@ -137,6 +144,8 @@ def cmd_mirror_triples(args):
 
 
 def cmd_formula(args):
+    from . import closed_forms
+
     if args.kind == "pair22":
         family = _read_family(args.family)
         ships = family.ships
@@ -160,6 +169,8 @@ def cmd_formula(args):
 
 
 def cmd_bounds(args):
+    from . import closed_forms
+
     report = closed_forms.density_bounds(args.n, args.k)
     payload = {**dataclasses.asdict(report), "upper_rational_part": str(report.upper_rational_part)}
     lines = [
@@ -173,6 +184,8 @@ def cmd_bounds(args):
 
 
 def cmd_construct(args):
+    from . import constructions
+
     payload = {}
     if args.kind == "greedy":
         try:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .constructions import slab_family
-from .core import Family, Ship, format_density, offset_gcd, parse_family
+from .core import Family, Ship, format_density, parse_family
 from .solver import DEFAULT_SPAN_CAP, exact_densities, exact_density
 
 
@@ -98,11 +97,15 @@ def enumerate_families(n: int, k: int, span_budget: int) -> Iterator[str]:
     """
     if n < 1 or k < 1 or span_budget < k:
         raise ValueError("need n >= 1, k >= 1, span_budget >= k")
-    ships = ships_with_span(k, span_budget)
+    # The offsets of ships_with_span(k, span_budget) as plain tuples: a
+    # validated Ship per entry, and a second one per reflect(), cost more
+    # than the tables built from them.
+    ships = [(0,) + rest for rest in combinations(range(1, span_budget), k - 1)]
     index = {ship: i for i, ship in enumerate(ships)}
-    mirror = np.array([index[ship.reflect()] for ship in ships], dtype=np.intp)
-    gcd = np.array([offset_gcd([ship]) for ship in ships], dtype=np.intp)
-    ship_text = np.array([str(ship) for ship in ships], dtype=object)
+    mirror = [index[tuple(ship[-1] - a for a in reversed(ship))] for ship in ships]
+    mirror = np.array(mirror, dtype=np.intp)
+    gcd = np.array([math.gcd(*ship) for ship in ships], dtype=np.intp)
+    ship_text = np.array([",".join(map(str, ship)) for ship in ships], dtype=object)
     combos = chain.from_iterable(combinations(range(len(ships)), n))
     while True:
         block = np.fromiter(islice(combos, ENUM_BLOCK_ROWS * n), dtype=np.intp).reshape(-1, n)
@@ -262,6 +265,10 @@ def compute_extremes(
             # than the chunk's solve.  No chunk means no solver call.
             solve = map
             if len(chunks) > 1:
+                # Imported only here, so that a sweep that starts no pool
+                # never loads multiprocessing (about 20 ms of import).
+                from concurrent.futures import ProcessPoolExecutor
+
                 # The pool forks all its workers at the first submit, so it
                 # gets no more of them than there are chunks to solve.
                 pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))

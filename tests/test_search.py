@@ -462,7 +462,8 @@ def record_pool_sizes(monkeypatch) -> list:
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(shippierce.search, "ProcessPoolExecutor", RecordingPool)
+    # compute_extremes imports the pool class only when it starts a pool.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
