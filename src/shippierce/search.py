@@ -39,7 +39,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .constructions import slab_family
 from .core import Family, Ship, format_density, parse_family
 from .solver import DEFAULT_SPAN_CAP, exact_densities, exact_density
 
@@ -353,6 +352,8 @@ def check_mirror_triples(span_cap: int = DEFAULT_SPAN_CAP) -> MirrorTripleReport
     (a, b) reduces to (2, 1) or (3, 1), i.e. for the ships [0,2d,3d]
     and [0,3d,4d].
     """
+    from .constructions import slab_family  # only this check builds slabs
+
     bound = Fraction(2, 5)
     pairs = [(a, b, math.gcd(a, b)) for a in range(2, 6) for b in range(1, a)]
     families = [slab_family(a, b) for a, b, _ in pairs]

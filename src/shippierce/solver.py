@@ -1,30 +1,34 @@
 """Exact minimum piercing density for 1D ship families.
 
-The computation runs on the graph of valid length-s windows, where s is
-the span of the (scale-reduced) family.  A window is an s-bit word,
-most significant bit oldest, that hits every ship translate lying fully
-inside it.  Sliding one cell to the right drops the oldest bit and
-appends a fresh one, so every node has at most two out-edges and the
-appended bit is the edge weight.  Bi-infinite piercing patterns are
-exactly the bi-infinite walks through valid windows, so the minimum
-density equals the minimum mean weight over directed cycles.
+The computation runs on the valid length-s windows, where s is the span
+of the (scale-reduced) family.  A window is an s-bit word, most
+significant bit oldest, that hits every ship translate lying fully
+inside it.  The valid windows are the edges of the state graph: its
+nodes are the 2^(s-1) states of s-1 bits, window w goes from state
+w >> 1, its oldest s-1 bits, to state w mod 2^(s-1), its newest, and
+its weight is its newest bit, the cell it appends.  Bi-infinite
+piercing patterns are exactly the bi-infinite walks of this graph, so
+the minimum density equals the minimum mean weight over its directed
+cycles.  Cycles are kept as window sequences.  They are also the cycles
+of the window graph, the line graph of the state graph, in which each
+window leads to the windows whose oldest s-1 bits are its newest.
 
-The minimum mean is found by parametric Bellman-Ford: Lawler's search
-over the mean, with the parent-pointer negative-cycle test of
-Cherkassky and Goldberg (see _min_means).  Each search starts at the
-least mean over the cycles no longer than the window, read off the
-periodic words (see _short_cycles), instead of at the all-ones
+The minimum mean is found by parametric Bellman-Ford on the states:
+Lawler's search over the mean, with the parent-pointer negative-cycle
+test of Cherkassky and Goldberg (see _min_means).  Each search starts
+at the least mean over the cycles no longer than the window, read off
+the periodic words (see _short_cycles), instead of at the all-ones
 self-loop.  The search converges from the mean of any real cycle, and
 its last round, which alone decides the outputs, is the same from any
-such start, so only the number of rounds changes.  Its final node
-potentials certify the lower bound: no edge has a negative reduced
-cost, so no cycle has a lower mean, and this is checked on every
-solve.  Ties are broken deterministically: shortest cycle first, then
-the lexicographically smallest node sequence.  When the search never
+such start, so only the number of rounds changes.  Its final state
+potentials certify the lower bound: no window has a negative reduced
+cost, so no cycle has a lower mean, and this is checked on every solve.
+Ties are broken deterministically: shortest cycle first, then the
+lexicographically smallest window sequence.  When the search never
 drops below its start, the start's cycle, read off the periodic words
 with this tie-break, is the witness.  Otherwise every optimal cycle is
-longer than the window.  Optimal cycles are exactly the cycles of
-tight (zero reduced cost) edges, and one is then extracted from them.
+longer than the window.  Optimal cycles are exactly the cycles of tight
+(zero reduced cost) windows, and one is then extracted from them.
 Every cycle is kept in walk order, the order a pattern appends its
 cells, so the pattern is read straight off it; it is re-checked against
 the input family before it is returned, which certifies the upper bound.
@@ -55,15 +59,15 @@ MEMORY_GUARD_BYTES = 2 << 30
 
 # Peak RSS growth of a whole density command per s-bit window at spans 18
 # and 20 on 0,1,s-1, 0,1,s-2;0,s-2,s-1 and 0,5,s-2,s-1;0,s-1 (x86-64,
-# Python 3.11, numpy 2.4): 82-88 B, or 76-83 B with glibc's mmap threshold
+# Python 3.11, numpy 2.4): 64-68 B, or 58-61 B with glibc's mmap threshold
 # fixed by MALLOC_MMAP_THRESHOLD_=131072.  Kept at 256 so span 24 stays the
 # first refused; lowering it goes with the ROADMAP item on the span cap.
 # exact_densities charges every row of a stack at this rate.
 BYTES_PER_WINDOW = 256
 
-# Potential of an invalid word.  An edge into one costs 2 * _INF, more than
-# any potential can fall, so edges touching one are never tight or negative,
-# and a word is valid exactly when the edges into it cost less than _INF.
+# An invalid window costs 2 * _INF, more than any potential can fall, so it
+# never improves a potential and is never tight, and a window is valid
+# exactly when it costs less than _INF.
 _INF = 1 << 60
 
 
@@ -151,7 +155,7 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     one-row stack of graph.valid.  A cycle it yields of length at most s
     is its start, so lambda never dropped and that cycle is the witness
     (see _short_cycles).  Otherwise every optimal cycle is longer than
-    the window, and the witness is extracted from the tight edges of the
+    the window, and the witness is extracted from the tight windows of the
     certified potentials.
 
     Raises ValueError if the graph has no cycle, and AssertionError if
@@ -169,24 +173,35 @@ def _min_means(valid: np.ndarray):
 
     Yields (row, mean, cycle, tight) once per row, in the order the rows
     finish: the minimum mean of row's window graph as a Fraction, a
-    cycle of that mean in walk order, and the mask of tight (zero
-    reduced cost) edges, laid out as in _extract_cycle, under potentials
+    cycle of that mean in walk order, and the (2^s,) mask of tight (zero
+    reduced cost) windows, as _extract_cycle reads it, under potentials
     that certify the mean.  A row with no cycle yields mean 1 and cycle
     None.
+
+    The search runs on the state graph, of which the window graph is the
+    line graph: its nodes are the 2^(s-1) states of s-1 bits, and each
+    valid window w is an edge from state w >> 1 to state w mod 2^(s-1),
+    weighted by its newest bit.  A closed walk of windows is a closed
+    walk of these edges of the same length and weight, so both graphs
+    have the same cycle means and the same optimal cycles, but the
+    potentials, parent picks and parent pointers cover half as many
+    nodes.  State 2a + b is entered by the windows 2a + b and
+    2a + b + 2^(s-1), from the states a and a + 2^(s-2).
 
     Each row starts from lambda = p/q, the least mean over its cycles of
     length at most s, and the tie-broken one of them (see
     _short_cycles).  A row with no cycle that short starts at lambda = 1
     with no cycle: a longer cycle is not the all-ones self-loop, so its
-    mean is below 1.  All rows are swept at once on the integer edge
-    weights q*w - p of their own lambda, from zero potentials; a node's
-    potential and parent pointer change only on a strict decrease.  The
-    parent pointers of every row are checked for a cycle after sweeps 1,
-    2, 4, ... of the stack, whatever any row's lambda does.  When a
-    row's pointers close a cycle, that row's lambda drops to the cycle's
-    mean, the cycle is reversed into walk order, and the row's sweeps
-    restart from zero potentials.  The first sweep that changes no
-    potential in any row ends the search, and it always comes:
+    mean is below 1.  All rows are swept at once on the integer window
+    weights q*b - p of their own lambda, b being the window's newest
+    bit, from zero potentials; a state's potential and parent pointer
+    change only on a strict decrease.  The parent pointers of every row
+    are checked for a cycle after sweeps 1, 2, 4, ... of the stack,
+    whatever any row's lambda does.  When a row's pointers close a cycle
+    of states, that row's lambda drops to the cycle's mean, the cycle is
+    reversed into a walk of windows, and the row's sweeps restart from
+    zero potentials.  The first sweep that changes no potential in any
+    row ends the search, and it always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
@@ -194,7 +209,7 @@ def _min_means(valid: np.ndarray):
       set of its cycle means, and checks recur at every power of two,
       so a row with a negative cycle is caught at some check;
     * while a row's parent pointers are acyclic, each potential is at
-      least the weight of a simple parent path from a node still at
+      least the weight of a simple parent path from a state still at
       potential 0, so potentials are bounded below.  They are integers
       and every sweep that changes the row lowers one, so a lambda
       round with no negative cycle stops changing the row;
@@ -203,17 +218,18 @@ def _min_means(valid: np.ndarray):
       potentials forever, so every check from some point on finds a
       parent cycle in that row.
 
-    A row that a sweep leaves unchanged has no improving edge, so no
+    A row that a sweep leaves unchanged has no improving window, so no
     later sweep changes it.  Its parent pointers hold no cycle: every
-    parent edge is then tight, so a parent cycle would have weight zero,
-    not below it.  Such a row is final, and no pointers are checked
-    after a sweep that changes no row.  Rows leave at one exit: after a
-    check, or after a sweep that changes no row, every row that sweep
-    left unchanged is certified, yielded and dropped from the stack, and
-    the loop ends when no row is left.  Every other sweep issues the
-    same numpy calls at any B.  As the schedule is fixed and rows touch
-    only their own slices, a row's lambda drops and final potentials are
-    those it reaches alone: its result does not depend on its stack.
+    parent window is then tight, so a parent cycle would have weight
+    zero, not below it.  Such a row is final, and no pointers are
+    checked after a sweep that changes no row.  Rows leave at one exit:
+    after a check, or after a sweep that changes no row, every row that
+    sweep left unchanged is certified on every window, yielded and
+    dropped from the stack, and the loop ends when no row is left.
+    Every other sweep issues the same numpy calls at any B.  As the
+    schedule is fixed and rows touch only their own slices, a row's
+    lambda drops and final potentials are those it reaches alone: its
+    result does not depend on its stack.
 
     The start changes how many rounds a row takes, not what it yields.
     The argument above needs only that lambda is the mean of a real
@@ -222,7 +238,7 @@ def _min_means(valid: np.ndarray):
     length at most s.  So the last round of a row that has a cycle
     always starts from zero potentials at the minimum mean, where no
     check finds a parent cycle.  Its sweeps, the final potentials, the
-    tight edges and so the tie-broken witness are those of any other
+    tight windows and so the tie-broken witness are those of any other
     start.
 
     Raises AssertionError if the final potentials of a row fail to
@@ -230,51 +246,60 @@ def _min_means(valid: np.ndarray):
     """
     means, cycles = _short_cycles(valid)  # before the large arrays below
     n = valid.shape[1]
-    half = n >> 1
+    states = n >> 1
+    quarter = states >> 1
     newest = np.arange(n) & 1
     rows = np.arange(len(valid))
     p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
-    # All edges into a word carry the same weight: its newest bit.
     cost = np.where(valid, q * newest - p, 2 * _INF)
-    d = np.where(valid, 0, _INF)
-    pick = np.zeros(d.shape, dtype=bool)  # parent is up + half * pick once d < 0
-    # Word 2a + b of row i has the predecessors a and a + half of that row;
-    # up points into the rows laid end to end, as _parent_cycle reads them.
-    up = n * rows[:, None] + (np.arange(n) >> 1)
-    low, high = d[:, :half], d[:, half:]
+    d = np.zeros((len(valid), states), dtype=np.int64)
+    pick = np.zeros(d.shape, dtype=bool)  # parent is up + quarter * pick once d < 0
+    # State 2a + b of row i is entered by the windows 2a + b and
+    # 2a + b + states, from the states a and a + quarter of that row; up
+    # points into the rows laid end to end, as _parent_cycle reads them.
+    up = states * rows[:, None] + (np.arange(states) >> 1)
     sweep = 0
     while rows.size:
         sweep += 1
-        best = np.minimum(low, high).repeat(2, axis=1) + cost
+        # enter[:, w] = d[w >> 1] + cost[w], offered to state w mod states.
+        enter = d.repeat(2, axis=1)
+        enter += cost
+        low, high = enter[:, :states], enter[:, states:]
+        best = np.minimum(low, high)
         improved = best < d
         if improved.any():
-            pick ^= improved & (pick ^ (high < low).repeat(2, axis=1))
+            pick ^= improved & (pick ^ (high < low))
             np.minimum(d, best, out=d)
             if sweep & (sweep - 1):
                 continue
-            for i, cycle in enumerate(_parent_cycle(np.where(d < 0, up + half * pick, -1).ravel(), n)):
+            parent = np.where(d < 0, up + quarter * pick, -1).ravel()
+            for i, cycle in enumerate(_parent_cycle(parent, states)):
                 if cycle is None:
                     continue
                 r = rows[i]
-                mean = Fraction(sum(w & 1 for w in cycle), len(cycle))
+                # Parent pointers run against the walk; window
+                # (u << 1) | (v & 1) leads from state u to state v.
+                walk = cycle[::-1]
+                windows = [(u << 1) | (v & 1) for u, v in zip(walk, walk[1:] + walk[:1])]
+                mean = Fraction(sum(w & 1 for w in windows), len(windows))
                 assert mean < means[r], "parent cycle is not negative"
-                means[r], cycles[r] = mean, cycle[::-1]
-                node = cost[i] < _INF
-                cost[i] = np.where(node, mean.denominator * newest - mean.numerator, 2 * _INF)
-                d[i] = np.where(node, 0, _INF)
+                means[r], cycles[r] = mean, windows
+                window = cost[i] < _INF
+                cost[i] = np.where(window, mean.denominator * newest - mean.numerator, 2 * _INF)
+                d[i] = 0
                 pick[i] = False
         done = ~improved.any(axis=1)
         if not done.any():
             continue
         for i in np.flatnonzero(done).tolist():
-            reduced = d[i].reshape(2, half).repeat(2, axis=1) + (cost[i] - d[i])
+            # Window w's reduced cost d[w >> 1] + cost[w] - d[w mod states].
+            reduced = (d[i].repeat(2) + cost[i]).reshape(2, states) - d[i]
             if (reduced < 0).any():
                 raise AssertionError("potentials do not certify the minimum cycle mean")
             r = int(rows[i])
-            yield r, means[r], cycles[r], reduced == 0
+            yield r, means[r], cycles[r], (reduced == 0).ravel()
         rows, cost, d, pick = rows[~done], cost[~done], d[~done], pick[~done]
         up = up[:len(rows)]
-        low, high = d[:, :half], d[:, half:]
 
 
 def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | None]]:
@@ -359,25 +384,25 @@ def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
 
 
 def _extract_cycle(graph, tight, q) -> list[int]:
-    """Deterministic optimal cycle among the tight edges, when every
+    """Deterministic optimal cycle among the tight windows, when every
     optimal cycle is longer than the window.
 
-    tight[c, v] masks the edge into word v from (v >> 1) + c * 2^(s-1)
-    of zero reduced cost: the tight cycles are exactly the optimal ones.
-    Nodes without a tight edge in from a kept node lie on none and are
-    trimmed away.  Nodes without one out are kept: a search only enters
-    nodes that reach its root, so trimming them would not shrink it.
+    tight[w] flags the windows of zero reduced cost: a closed walk is
+    optimal exactly when all of its windows are tight.  A window is kept
+    while it has a kept predecessor; the others lie on no such walk.
+    Windows without a kept successor are kept: a search only enters
+    windows that reach its root, so trimming them would not shrink it.
     Then:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
-    * the start, the smallest node on any shortest optimal cycle, is the
-      root with the smallest (c(r), r), c(r) being the shortest closed
-      walk through r over the nodes above it: those cycles through the
-      start lie above it, and a smaller root lies on none;
-    * no word on the cycle is below its start r, and the word j steps on
-      has r's low s-j bits on top, so only prenecklaces are roots:
-      r mod 2^(s-j) >= r >> j for every j in 1..s-1;
+    * the start, the smallest window on any shortest optimal cycle, is
+      the root with the smallest (c(r), r), c(r) being the shortest
+      closed walk through r over the windows above it: those cycles
+      through the start lie above it, and a smaller root lies on none;
+    * no window on the cycle is below its start r, and the window j
+      steps on has r's low s-j bits on top, so only prenecklaces are
+      roots: r mod 2^(s-j) >= r >> j for every j in 1..s-1;
     * one pass over the roots, ascending, searches each to best - q,
       best being the least c(r) so far (words.size, the longest simple
       cycle, before the first): every closed tight walk has a length
@@ -390,18 +415,16 @@ def _extract_cycle(graph, tight, q) -> list[int]:
       the start is r; the descent takes the smallest such one.
     """
     half = len(graph.valid) >> 1
-    alive = graph.valid
+    alive = tight
     while True:
-        preds = alive.reshape(2, half).repeat(2, axis=1)
-        keep = alive & (tight & preds).any(axis=0)
+        keep = alive & (alive[:half] | alive[half:]).repeat(2)
         if not (keep ^ alive).any():
             break
         alive = keep
     words = np.flatnonzero(alive)
     if not words.size:
         raise ValueError("graph has no cycle")
-    # Tight edges from surviving words, viewed for cheap scalar lookups.
-    edge = memoryview(tight & preds)
+    kept = memoryview(alive)  # for cheap scalar lookups
     roots = words
     for j in range(1, graph.s):
         roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]
@@ -410,32 +433,30 @@ def _extract_cycle(graph, tight, q) -> list[int]:
     for start in roots.tolist():
         if limit <= graph.s:
             break
-        if found := _distances_to(edge, start, limit):
+        if found := _distances_to(kept, start, limit):
             witness, limit = (start, found), found[0] - q
     start, (length, dist) = witness
     cycle = [start]
     for remaining in range(length - 1, 0, -1):
-        u = cycle[-1]
-        cycle.append(next(v for v in (u % half * 2, u % half * 2 + 1)
-                          if dist.get(v) == remaining and edge[u // half, v]))
-    assert edge[cycle[-1] // half, start]
+        u = cycle[-1] % half * 2
+        cycle.append(next(v for v in (u, u + 1) if dist.get(v) == remaining))
+    assert kept[cycle[-1]] and cycle[-1] % half == start >> 1
     return cycle
 
 
-def _distances_to(edge, root: int, length: int) -> tuple[int, dict[int, int]] | None:
-    """Breadth-first tight distances back to root from the nodes above
+def _distances_to(kept, root: int, length: int) -> tuple[int, dict[int, int]] | None:
+    """Breadth-first distances back to root from the kept windows above
     it, complete below the depth at which a walk through root first
     closes, and returned with that depth if it is at most length."""
-    half = edge.shape[1] >> 1
+    half = len(kept) >> 1
     dist = {root: 0}
     frontier, depth = [root], 0
     while frontier and depth < length:
         depth += 1
         reached = []
         for v in frontier:
-            for c in (0, 1):
-                if edge[c, v]:
-                    u = (v >> 1) + c * half
+            for u in (v >> 1, (v >> 1) + half):
+                if kept[u]:
                     if u == root:
                         return depth, dist
                     if u > root and u not in dist:

@@ -62,10 +62,13 @@ def test_density_loads_no_search_closed_forms_constructions_or_pool():
 
 
 def test_one_worker_search_loads_search_but_no_pool():
+    # Only check_mirror_triples builds slab families, so a sweep never
+    # loads constructions.
     after_import, after_run = loaded_around(["search", "--n", "2", "--k", "2", "--max-span", "5"])
     assert after_import == []
     assert "shippierce.search" in after_run
     assert "multiprocessing" not in after_run
+    assert "shippierce.constructions" not in after_run
 
 
 LEAVES = [

@@ -437,7 +437,7 @@ def test_min_means_yields_fraction_means_walks_and_tight_masks():
     # One span-10 stack: lambda drops in the first two rows (witnesses of
     # 17 and 11 windows), and the last two start at the optimum (10 and 2
     # windows).  Each row's cycle is a closed walk in walk order over
-    # valid words with the row's mean, on tight edges only.
+    # valid words with the row's mean, on tight windows only.
     texts = ["0,1,9", "0,2,9", "0,1,2,9", "0,1,8;0,8,9"]
     graphs = [WindowGraph.from_family(parse_family(t)) for t in texts]
     n = 1 << 10
@@ -449,10 +449,31 @@ def test_min_means_yields_fraction_means_walks_and_tight_masks():
         assert all(valid[w] for w in cycle)
         assert all(v == (u << 1) & (n - 1) | (v & 1) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
         assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == mean
-        # tight[c, v] is the edge into v from (v >> 1) + c * n / 2.
-        assert all(tight[u >> 9, v] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        # tight[w] flags window w, one flag per window.
+        assert tight.shape == (n,)
+        assert all(tight[w] for w in cycle)
         lengths[row] = len(cycle)
     assert lengths == {0: 17, 1: 11, 2: 10, 3: 2}
+
+
+def test_optimal_cycles_are_exactly_the_tight_cycles():
+    # On random masks up to span 8, the tight mask _min_means yields is
+    # one flag per window, set on valid windows only.  A cycle is optimal
+    # exactly when every window on it is tight, so every window of an
+    # optimal closed walk (a union of optimal cycles) is flagged.  Masks
+    # above span 5 are kept sparse, so that their cycles can be listed.
+    rng = np.random.default_rng(27)
+    optimal_cycles = 0
+    for _ in range(300):
+        s = int(rng.integers(1, 9))
+        g = WindowGraph(s, rng.random(1 << s) < rng.uniform(0.2, 0.9 if s <= 5 else 0.5))
+        [(_, mean, _, tight)] = solver._min_means(g.valid[None])
+        assert tight.shape == g.valid.shape and not (tight & ~g.valid).any(), g.nodes
+        for cycle in brute_force_cycles_tiny(g):
+            optimal = Fraction(sum(w & 1 for w in cycle), len(cycle)) == mean
+            assert optimal == all(tight[w] for w in cycle), (g.nodes, cycle)
+            optimal_cycles += optimal
+    assert optimal_cycles > 100
 
 
 def _drop_a_residue(x, d):
