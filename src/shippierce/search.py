@@ -142,13 +142,15 @@ class SearchReport:
 
 # Families sent to a worker process per task, which solves them in one
 # batch per reduced span.  Larger chunks make larger batches, with fewer
-# numpy calls per family, but leave a worker idle at the end of a small
-# type and hold a chunk's lines back from the results file until all of
-# it is solved.  On a 2-core x86-64 machine, `perfbench/run.py --workload
-# sweep --seconds 30` gave 3,630-4,080 families/s at 32, 3,870-4,090 at
-# 64 and 3,840-3,870 at 128 (4 runs each), and the default search table
-# at 2 workers took 3.4-4.0 s, 3.1-3.7 s and 3.3-4.0 s (3 runs each).
-POOL_CHUNKSIZE = 64
+# numpy calls per family and fewer ship masks per family, but leave a
+# worker idle at the end of a small type and hold a chunk's lines back
+# from the results file until it and every earlier chunk are solved.  On
+# a 2-core x86-64 machine, `perfbench/run.py --workload sweep --seconds 10
+# --trace 0` gave 9,056-9,505 families/s at 64, 9,683-9,846 at 128 and
+# 9,953-10,341 at 256 (4 alternating runs each), but its peak RSS rose
+# from 71 MB to 74 MB at 256.  The default search table at 2 workers took
+# 1.40-1.71 s at 64 and 1.19-1.68 s at 128 (6 alternating runs each).
+POOL_CHUNKSIZE = 128
 
 
 def _text_span(text: str) -> int:
@@ -157,7 +159,16 @@ def _text_span(text: str) -> int:
 
 
 def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
-    return exact_densities([parse_family(t) for t in texts], span_cap=span_cap)
+    """exact_densities of the family texts of one chunk.  A sweep's
+    families are drawn from few ships, so each distinct ship text is
+    parsed once."""
+    ships: dict[str, Ship] = {}
+    for text in texts:
+        for ship in text.split(";"):
+            if ship not in ships:
+                ships[ship] = parse_family(ship).ships[0]
+    families = [Family(tuple(map(ships.__getitem__, text.split(";")))) for text in texts]
+    return exact_densities(families, span_cap=span_cap)
 
 
 def _is_valid_density(frac: str, lowest: Fraction) -> bool:

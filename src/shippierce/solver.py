@@ -36,9 +36,12 @@ the input family before it is returned, which certifies the upper bound.
 exact_densities is the batch entry point for callers that need only
 densities: sweeps at more than one worker, the mirrored-triple check
 and collinear planar reflections.  It solves families of one reduced
-span together, on a stack of their window masks.  Both bounds are
-still certified for every family; the upper bound comes from the
-search's last cycle, so no tie-broken witness is extracted.
+span together, on a stack of their window masks.  The families of a
+sweep share most of their ships, so each stack builds one mask per
+distinct ship and ANDs it into the rows of the families that hold it.
+Both bounds are still certified for every family; the upper bound
+comes from the search's last cycle, so no tie-broken witness is
+extracted.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Family, scale_reduce
+from .core import Family, Ship, scale_reduce
 from .verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 DEFAULT_SPAN_CAP = 22
@@ -59,15 +62,15 @@ MEMORY_GUARD_BYTES = 2 << 30
 
 # Peak RSS growth of a whole density command per s-bit window at spans 18
 # and 20 on 0,1,s-1, 0,1,s-2;0,s-2,s-1 and 0,5,s-2,s-1;0,s-1 (x86-64,
-# Python 3.11, numpy 2.4): 64-68 B, or 58-61 B with glibc's mmap threshold
+# Python 3.11, numpy 2.4): 54-55 B, or 43 B with glibc's mmap threshold
 # fixed by MALLOC_MMAP_THRESHOLD_=131072.  Kept at 256 so span 24 stays the
 # first refused; lowering it goes with the ROADMAP item on the span cap.
 # exact_densities charges every row of a stack at this rate.
 BYTES_PER_WINDOW = 256
 
-# An invalid window costs 2 * _INF, more than any potential can fall, so it
-# never improves a potential and is never tight, and a window is valid
-# exactly when it costs less than _INF.
+# An invalid window costs at least 2 * _INF, more than any potential can
+# fall, so it never improves a potential and is never tight, and a window is
+# valid exactly when it costs less than _INF.
 _INF = 1 << 60
 
 
@@ -117,23 +120,37 @@ class WindowGraph:
 
         With one length-2 axis per cell, oldest first, the mask's C-order
         flattening is the MSB-first word order.  Each ship translate
-        clears one block: the windows that are 0 on all of its cells.
+        clears one block (see _clear_ship).
         """
         s = family.span
-        estimate = (1 << s) * BYTES_PER_WINDOW
-        if estimate > MEMORY_GUARD_BYTES:
-            raise MemoryGuardError(
-                f"solving span {s} needs ~{estimate} bytes, "
-                f"above the guard of {MEMORY_GUARD_BYTES}"
-            )
+        _guard_memory(s)
         cells = np.ones((2,) * s, dtype=bool)
         for ship in family.ships:
-            for j in range(s - ship.span + 1):
-                block = [slice(None)] * s
-                for a in ship.offsets:
-                    block[j + a] = 0
-                cells[tuple(block)] = False
+            _clear_ship(cells, ship)
         return cls(s, cells.reshape(-1))
+
+
+def _guard_memory(s: int) -> None:
+    """Raise MemoryGuardError if a span-s solve is estimated to need more
+    than MEMORY_GUARD_BYTES."""
+    estimate = (1 << s) * BYTES_PER_WINDOW
+    if estimate > MEMORY_GUARD_BYTES:
+        raise MemoryGuardError(
+            f"solving span {s} needs ~{estimate} bytes, "
+            f"above the guard of {MEMORY_GUARD_BYTES}"
+        )
+
+
+def _clear_ship(cells: np.ndarray, ship: Ship) -> None:
+    """Clear, in place, the windows of the (2,)*s array cells that miss
+    a translate of ship lying inside the window: one block per
+    translate, the windows that are 0 on all of its cells."""
+    s = cells.ndim
+    for j in range(s - ship.span + 1):
+        block = [slice(None)] * s
+        for a in ship.offsets:
+            block[j + a] = 0
+        cells[tuple(block)] = False
 
 
 @dataclass(frozen=True)
@@ -248,10 +265,11 @@ def _min_means(valid: np.ndarray):
     n = valid.shape[1]
     states = n >> 1
     quarter = states >> 1
-    newest = np.arange(n) & 1
     rows = np.arange(len(valid))
     p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
-    cost = np.where(valid, q * newest - p, 2 * _INF)
+    # Window w weighs q * (w & 1) - p: the odd windows append a 1.
+    cost = np.where(valid, -p, 2 * _INF)
+    cost[:, 1::2] += q
     d = np.zeros((len(valid), states), dtype=np.int64)
     pick = np.zeros(d.shape, dtype=bool)  # parent is up + quarter * pick once d < 0
     # State 2a + b of row i is entered by the windows 2a + b and
@@ -284,13 +302,14 @@ def _min_means(valid: np.ndarray):
                 mean = Fraction(sum(w & 1 for w in windows), len(windows))
                 assert mean < means[r], "parent cycle is not negative"
                 means[r], cycles[r] = mean, windows
-                window = cost[i] < _INF
-                cost[i] = np.where(window, mean.denominator * newest - mean.numerator, 2 * _INF)
+                cost[i] = np.where(cost[i] < _INF, -mean.numerator, 2 * _INF)
+                cost[i, 1::2] += mean.denominator
                 d[i] = 0
                 pick[i] = False
         done = ~improved.any(axis=1)
         if not done.any():
             continue
+        del enter, low, high, best  # before the certificates' temporaries
         for i in np.flatnonzero(done).tolist():
             # Window w's reduced cost d[w >> 1] + cost[w] - d[w mod states].
             reduced = (d[i].repeat(2) + cost[i]).reshape(2, states) - d[i]
@@ -503,9 +522,13 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
     The families are scale-reduced and grouped by reduced span, and each
     group is solved as one stack of window masks by _min_means, split
     so that no stack charges more than MEMORY_GUARD_BYTES at
-    BYTES_PER_WINDOW per window.  Both bounds are certified on every
-    family: _min_means checks the potentials, and the pattern of the
-    walk it yields for the row is scaled back and verified as in
+    BYTES_PER_WINDOW per window.  A family whose own span trips the
+    guard is refused before anything is built.  Each stack builds one
+    mask per distinct ship, with the blocks that from_family clears for
+    that ship, and a row is the AND of its family's ship masks: the
+    from_family mask of the reduced family.  Both bounds are certified
+    on every family: _min_means checks the potentials, and the pattern
+    of the walk it yields for the row is scaled back and verified as in
     exact_density.  No witness is tie-broken.  search.compute_extremes
     at more than one worker, search.check_mirror_triples and
     closed_forms.three_ship_reflection_2d call it.
@@ -516,15 +539,29 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
         if any(ship.size == 1 for ship in f.ships):
             continue
         reduced, d = scale_reduce(f)
-        if reduced.span > span_cap:
-            raise SpanCapError(reduced.span, span_cap)
-        groups.setdefault(reduced.span, []).append((i, reduced, d))
+        s = reduced.span
+        if s > span_cap:
+            raise SpanCapError(s, span_cap)
+        _guard_memory(s)
+        groups.setdefault(s, []).append((i, reduced, d))
 
     for s, group in groups.items():
         size = max(1, MEMORY_GUARD_BYTES // ((1 << s) * BYTES_PER_WINDOW))
         for start in range(0, len(group), size):
             batch = group[start:start + size]
-            valid = np.stack([WindowGraph.from_family(reduced).valid for _, reduced, _ in batch])
+            masks = {}  # ship -> the span-s windows that hit all its translates
+            for _, reduced, _ in batch:
+                for ship in reduced.ships:
+                    if ship not in masks:
+                        cells = np.ones((2,) * s, dtype=bool)
+                        _clear_ship(cells, ship)
+                        masks[ship] = cells.reshape(-1)
+            valid = np.empty((len(batch), 1 << s), dtype=bool)
+            for row, (_, reduced, _) in zip(valid, batch):
+                first, *rest = reduced.ships
+                row[:] = masks[first]
+                for ship in rest:
+                    row &= masks[ship]
             for row, mean, cycle, _ in _min_means(valid):
                 i, _, d = batch[row]
                 densities[i] = mean

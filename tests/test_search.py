@@ -496,10 +496,21 @@ def test_one_chunk_is_solved_as_one_batch(tmp_path, monkeypatch):
     assert (tmp_path / name).read_bytes() == (GOLDEN_RESULTS / name).read_bytes()
 
 
+def test_chunk_families_equal_parsed_families(monkeypatch):
+    # _densities parses each distinct ship text of a chunk once; the
+    # families it hands to exact_densities are those parse_family gives.
+    seen = []
+    monkeypatch.setattr(shippierce.search, "exact_densities", lambda fs, span_cap: seen.extend(fs) or [])
+    texts = list(enumerate_families(3, 3, 7)) + ["0,2;0,1", "0,1,3;0,1,3;0,1,3"]
+    shippierce.search._densities(texts, 7)
+    assert seen == [parse_family(t) for t in texts]
+
+
 def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
     sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(shippierce.search, "POOL_CHUNKSIZE", 64)
     report = compute_extremes(2, 3, 9, workers=4)
-    assert report.families_examined == 189  # three chunks of POOL_CHUNKSIZE
+    assert report.families_examined == 189  # three chunks of 64
     assert report == compute_extremes(2, 3, 9, workers=1)
     assert sizes == [3]
 

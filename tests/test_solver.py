@@ -283,6 +283,21 @@ def test_memory_guard_refuses_before_allocating():
         WindowGraph.from_family(huge)
 
 
+def test_batch_memory_guard_refuses_before_allocating(monkeypatch):
+    # The batch path builds its masks without from_family, so it checks
+    # the guard itself, before any mask or stack of a span-35 family.
+    from shippierce.solver import MemoryGuardError
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the memory guard")
+
+    monkeypatch.setattr(solver, "_clear_ship", no_allocation)
+    monkeypatch.setattr(solver, "_min_means", no_allocation)
+    huge = make_family([[0, 1, 34]])
+    with pytest.raises(MemoryGuardError):
+        exact_densities([parse_family("0,1,3"), huge], span_cap=40)
+
+
 # Every canonical family of two 3-cell ships within span 7 (reduced
 # spans 4 to 7), some of them scaled by 2 or 3, and families with a
 # single-cell ship.
@@ -316,6 +331,33 @@ def test_batch_is_split_by_the_memory_guard(monkeypatch):
     assert exact_densities(families) == [exact_density(f).density for f in families]
     assert all(rows * n * BYTES_PER_WINDOW <= solver.MEMORY_GUARD_BYTES for rows, n in stacks)
     assert [rows for rows, n in stacks if n == 1 << 7].count(3) > 1
+
+
+def test_batch_stacks_equal_from_family_masks(monkeypatch):
+    # exact_densities ANDs one mask per distinct ship of a stack into its
+    # rows; each row must be the reduced family's from_family mask.  In
+    # the second call the ship 0,1,3 (0,2,6 reduced) sits in stacks of
+    # spans 4 and 7, so its mask depends on the stack's span.
+    stacks = []
+    real = solver._min_means
+
+    def recording(valid):
+        stacks.append(valid.copy())
+        return real(valid)
+
+    monkeypatch.setattr(solver, "_min_means", recording)
+    for texts in [BATCH_FAMILIES, ["0,1,3", "0,1,3;0,5,6", "0,2,6;0,6,8,12", "0,1,3;0,1,4"]]:
+        stacks.clear()
+        families = [parse_family(t) for t in texts]
+        exact_densities(families)
+        groups = {}
+        for f in families:
+            if all(ship.size > 1 for ship in f.ships):
+                reduced = scale_reduce(f)[0]
+                groups.setdefault(reduced.span, []).append(WindowGraph.from_family(reduced).valid)
+        assert len(stacks) == len(groups)
+        for valid, expected in zip(stacks, groups.values()):
+            assert np.array_equal(valid, np.stack(expected))
 
 
 def test_batch_reverses_parent_cycles_into_walk_order():
