@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Family, Ship, format_density, parse_family
-from .solver import DEFAULT_SPAN_CAP, exact_densities, exact_density
+from .solver import DEFAULT_SPAN_CAP, MemoryGuardError, _guard_memory, exact_densities, exact_density
 
 
 def ships_with_span(k: int, span_budget: int) -> list[Ship]:
@@ -234,6 +234,10 @@ def compute_extremes(
     for a single chunk.  With nothing left to solve, no solver is
     called.
 
+    A sweep with a family left to solve whose span trips the solver's
+    memory guard raises MemoryGuardError before it solves anything or
+    opens results_path.
+
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
     `family<TAB>p/q` line in the order it was solved: enumeration order
@@ -258,6 +262,15 @@ def compute_extremes(
 
     old_text, densities = _load_results(Path(results_path), k) if results_path else ("", {})
     todo = [t for t in texts if t not in densities]
+    # A sweep whose largest span left to solve trips the memory guard is
+    # refused before it solves or writes anything.  Its families have
+    # offset gcd 1, so a text's span is its reduced span, and the texts
+    # are scanned only when the span budget itself trips the guard.
+    try:
+        _guard_memory(span_budget)
+    except MemoryGuardError:
+        if todo:
+            _guard_memory(max(map(_text_span, todo)))
 
     with ExitStack() as stack:
         out = stack.enter_context(open(results_path, "a")) if results_path else None

@@ -36,12 +36,12 @@ the input family before it is returned, which certifies the upper bound.
 exact_densities is the batch entry point for callers that need only
 densities: sweeps at more than one worker, the mirrored-triple check
 and collinear planar reflections.  It solves families of one reduced
-span together, on a stack of their window masks.  The families of a
-sweep share most of their ships, so each stack builds one mask per
-distinct ship and ANDs it into the rows of the families that hold it.
-Both bounds are still certified for every family; the upper bound
-comes from the search's last cycle, so no tie-broken witness is
-extracted.
+span together, on a stack of their window masks.  Both entry points
+build masks with _window_masks, which makes one mask per distinct ship
+and ANDs it into the rows that hold it: the families of a sweep share
+most of their ships.  Both bounds are still certified for every family;
+the upper bound comes from the search's last cycle, so no tie-broken
+witness is extracted.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ MEMORY_GUARD_BYTES = 2 << 30
 
 # Peak RSS growth of a whole density command per s-bit window at spans 18
 # and 20 on 0,1,s-1, 0,1,s-2;0,s-2,s-1 and 0,5,s-2,s-1;0,s-1 (x86-64,
-# Python 3.11, numpy 2.4): 54-55 B, or 43 B with glibc's mmap threshold
+# Python 3.11, numpy 2.4): 50-53 B, or 38 B with glibc's mmap threshold
 # fixed by MALLOC_MMAP_THRESHOLD_=131072.  Kept at 256 so span 24 stays the
 # first refused; lowering it goes with the ROADMAP item on the span cap.
-# exact_densities charges every row of a stack at this rate.
+# _guard_memory charges every row of a mask stack at this rate.
 BYTES_PER_WINDOW = 256
 
 # An invalid window costs at least 2 * _INF, more than any potential can
@@ -116,41 +116,51 @@ class WindowGraph:
 
     @classmethod
     def from_family(cls, family: Family) -> "WindowGraph":
-        """Enumerate all valid windows of length family.span.
-
-        With one length-2 axis per cell, oldest first, the mask's C-order
-        flattening is the MSB-first word order.  Each ship translate
-        clears one block (see _clear_ship).
-        """
+        """Enumerate all valid windows of length family.span: the one-row
+        stack of _window_masks, built once the memory guard passes."""
         s = family.span
         _guard_memory(s)
-        cells = np.ones((2,) * s, dtype=bool)
-        for ship in family.ships:
-            _clear_ship(cells, ship)
-        return cls(s, cells.reshape(-1))
+        return cls(s, _window_masks(s, [family.ships])[0])
 
 
-def _guard_memory(s: int) -> None:
-    """Raise MemoryGuardError if a span-s solve is estimated to need more
-    than MEMORY_GUARD_BYTES."""
+def _guard_memory(s: int) -> int:
+    """The number of span-s rows a mask stack may hold within
+    MEMORY_GUARD_BYTES.  Raises MemoryGuardError if even one span-s
+    solve is estimated to need more."""
     estimate = (1 << s) * BYTES_PER_WINDOW
     if estimate > MEMORY_GUARD_BYTES:
         raise MemoryGuardError(
             f"solving span {s} needs ~{estimate} bytes, "
             f"above the guard of {MEMORY_GUARD_BYTES}"
         )
+    return MEMORY_GUARD_BYTES // estimate
 
 
-def _clear_ship(cells: np.ndarray, ship: Ship) -> None:
-    """Clear, in place, the windows of the (2,)*s array cells that miss
-    a translate of ship lying inside the window: one block per
-    translate, the windows that are 0 on all of its cells."""
-    s = cells.ndim
-    for j in range(s - ship.span + 1):
-        block = [slice(None)] * s
-        for a in ship.offsets:
-            block[j + a] = 0
-        cells[tuple(block)] = False
+def _window_masks(s: int, ship_lists: list[tuple[Ship, ...]]) -> np.ndarray:
+    """The (B, 2^s) stack of valid s-bit window masks, one row per list
+    of ships: the windows that hit every translate of the row's ships
+    lying inside them.
+
+    With one length-2 axis per cell, oldest first, a mask's C-order
+    flattening is the MSB-first word order, and each translate clears
+    one block: the windows that are 0 on all of its cells.  Each
+    distinct ship's mask is built once and ANDed into the rows that
+    hold it, as rows often share ships.
+    """
+    holders: dict[Ship, list[int]] = {}
+    for row, ships in enumerate(ship_lists):
+        for ship in ships:
+            holders.setdefault(ship, []).append(row)
+    valid = np.ones((len(ship_lists), 1 << s), dtype=bool)
+    for ship, rows in holders.items():
+        cells = np.ones((2,) * s, dtype=bool)
+        for j in range(s - ship.span + 1):
+            block = [slice(None)] * s
+            for a in ship.offsets:
+                block[j + a] = 0
+            cells[tuple(block)] = False
+        valid[rows] &= cells.reshape(-1)
+    return valid
 
 
 @dataclass(frozen=True)
@@ -271,11 +281,7 @@ def _min_means(valid: np.ndarray):
     cost = np.where(valid, -p, 2 * _INF)
     cost[:, 1::2] += q
     d = np.zeros((len(valid), states), dtype=np.int64)
-    pick = np.zeros(d.shape, dtype=bool)  # parent is up + quarter * pick once d < 0
-    # State 2a + b of row i is entered by the windows 2a + b and
-    # 2a + b + states, from the states a and a + quarter of that row; up
-    # points into the rows laid end to end, as _parent_cycle reads them.
-    up = states * rows[:, None] + (np.arange(states) >> 1)
+    pick = np.zeros(d.shape, dtype=bool)  # which of a state's two parents, once d < 0
     sweep = 0
     while rows.size:
         sweep += 1
@@ -290,7 +296,14 @@ def _min_means(valid: np.ndarray):
             np.minimum(d, best, out=d)
             if sweep & (sweep - 1):
                 continue
-            parent = np.where(d < 0, up + quarter * pick, -1).ravel()
+            # State 2a + b of row i is entered from the states a and
+            # a + quarter of that row.  parent points into the rows laid end
+            # to end, as _parent_cycle reads them, and is built in place at
+            # each check rather than from bases kept for the whole solve.
+            parent = quarter * pick
+            parent += np.arange(states) >> 1
+            parent += states * np.arange(len(d))[:, None]
+            parent = np.where(d < 0, parent, -1).ravel()
             for i, cycle in enumerate(_parent_cycle(parent, states)):
                 if cycle is None:
                     continue
@@ -318,7 +331,6 @@ def _min_means(valid: np.ndarray):
             r = int(rows[i])
             yield r, means[r], cycles[r], (reduced == 0).ravel()
         rows, cost, d, pick = rows[~done], cost[~done], d[~done], pick[~done]
-        up = up[:len(rows)]
 
 
 def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | None]]:
@@ -519,18 +531,16 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
 def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) -> list[Fraction]:
     """exact_density(f).density for each f in families, solved in batches.
 
-    The families are scale-reduced and grouped by reduced span, and each
-    group is solved as one stack of window masks by _min_means, split
-    so that no stack charges more than MEMORY_GUARD_BYTES at
-    BYTES_PER_WINDOW per window.  A family whose own span trips the
-    guard is refused before anything is built.  Each stack builds one
-    mask per distinct ship, with the blocks that from_family clears for
-    that ship, and a row is the AND of its family's ship masks: the
-    from_family mask of the reduced family.  Both bounds are certified
-    on every family: _min_means checks the potentials, and the pattern
-    of the walk it yields for the row is scaled back and verified as in
-    exact_density.  No witness is tie-broken.  search.compute_extremes
-    at more than one worker, search.check_mirror_triples and
+    The families are scale-reduced and grouped by reduced span.  A
+    family whose own span trips the memory guard is refused before
+    anything is built.  Each group is cut into stacks of at most the
+    rows _guard_memory allows, and each stack is built by _window_masks,
+    so a row is the from_family mask of its reduced family, and solved
+    by _min_means.  Both bounds are certified on every family:
+    _min_means checks the potentials, and the pattern of the walk it
+    yields for the row is scaled back and verified as in exact_density.
+    No witness is tie-broken.  search.compute_extremes at more than one
+    worker, search.check_mirror_triples and
     closed_forms.three_ship_reflection_2d call it.
     """
     densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1
@@ -546,22 +556,10 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
         groups.setdefault(s, []).append((i, reduced, d))
 
     for s, group in groups.items():
-        size = max(1, MEMORY_GUARD_BYTES // ((1 << s) * BYTES_PER_WINDOW))
+        size = _guard_memory(s)
         for start in range(0, len(group), size):
             batch = group[start:start + size]
-            masks = {}  # ship -> the span-s windows that hit all its translates
-            for _, reduced, _ in batch:
-                for ship in reduced.ships:
-                    if ship not in masks:
-                        cells = np.ones((2,) * s, dtype=bool)
-                        _clear_ship(cells, ship)
-                        masks[ship] = cells.reshape(-1)
-            valid = np.empty((len(batch), 1 << s), dtype=bool)
-            for row, (_, reduced, _) in zip(valid, batch):
-                first, *rest = reduced.ships
-                row[:] = masks[first]
-                for ship in rest:
-                    row &= masks[ship]
+            valid = _window_masks(s, [reduced.ships for _, reduced, _ in batch])
             for row, mean, cycle, _ in _min_means(valid):
                 i, _, d = batch[row]
                 densities[i] = mean

@@ -521,6 +521,25 @@ def test_workers_below_one_are_refused(workers):
         compute_extremes(2, 2, 6, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_over_guard_sweep_is_refused_before_any_solve(tmp_path, monkeypatch, workers):
+    # With room for span 8 only, (2, 2, 9) holds families of spans 3 to 9:
+    # the span-9 ones are refused before any family is solved or the
+    # results file is opened.
+    from shippierce import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the memory guard")
+
+    monkeypatch.setattr(solver, "MEMORY_GUARD_BYTES", (1 << 8) * solver.BYTES_PER_WINDOW)
+    monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
+    monkeypatch.setattr(shippierce.search, "exact_densities", no_solve)
+    out = tmp_path / "results.txt"
+    with pytest.raises(solver.MemoryGuardError, match="solving span 9 needs"):
+        compute_extremes(2, 2, 9, workers=workers, results_path=out)
+    assert not out.exists()
+
+
 def test_budget_must_fit_cap():
     with pytest.raises(ValueError):
         compute_extremes(1, 3, 12, span_cap=10)

@@ -113,8 +113,10 @@ BRUTE_FORCE_NODE_FAMILIES = ["0,1,3;0,2", "4;0,1", "0"] + [
 def test_window_nodes_match_brute_force():
     # Word w holds cell i of the window at bit s - 1 - i (oldest cell in
     # the MSB); it is a node iff every ship translate inside the window
-    # has a shot.
+    # has a shot.  Stacked by span through _window_masks, where rows
+    # share ships, each row must be its family's mask too.
     assert len(BRUTE_FORCE_NODE_FAMILIES) == 77
+    by_span = {}
     for text in BRUTE_FORCE_NODE_FAMILIES:
         f = parse_family(text)
         s = f.span
@@ -127,6 +129,12 @@ def test_window_nodes_match_brute_force():
             )
         ]
         assert WindowGraph.from_family(f).nodes.tolist() == expected, text
+        by_span.setdefault(s, []).append((f, expected))
+    for s, group in by_span.items():
+        stack = solver._window_masks(s, [f.ships for f, _ in group])
+        assert stack.shape == (len(group), 1 << s)
+        for row, (f, expected) in zip(stack, group):
+            assert np.flatnonzero(row).tolist() == expected, f
 
 
 def test_min_mean_cycle_forced_graphs():
@@ -291,7 +299,7 @@ def test_batch_memory_guard_refuses_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the memory guard")
 
-    monkeypatch.setattr(solver, "_clear_ship", no_allocation)
+    monkeypatch.setattr(solver, "_window_masks", no_allocation)
     monkeypatch.setattr(solver, "_min_means", no_allocation)
     huge = make_family([[0, 1, 34]])
     with pytest.raises(MemoryGuardError):
