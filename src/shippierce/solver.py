@@ -46,13 +46,14 @@ witness is extracted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Family, Ship, scale_reduce
+from .core import Family, Ship, scale, scale_reduce
 from .verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 DEFAULT_SPAN_CAP = 22
@@ -68,10 +69,23 @@ MEMORY_GUARD_BYTES = 2 << 30
 # _guard_memory charges every row of a mask stack at this rate.
 BYTES_PER_WINDOW = 256
 
+# Peak RSS growth of a density command per cell of the period of its
+# scaled pattern, whose shots and the verifier's anchor sets are Python
+# sets of ints: 83-240 B at scales 3*10^5 and 10^6 on 0,1, 0,1;0,2,
+# 0,1,3, 0,1,7, 0,2;0,3, 0,1,2,...,7 and 0,1;0,2;0,3;0,4 (x86-64, Python
+# 3.11).  exact_density refuses a pattern the guard cannot hold at this rate.
+BYTES_PER_SCALED_CELL = 320
+
 # An invalid window costs at least 2 * _INF, more than any potential can
 # fall, so it never improves a potential and is never tight, and a window is
 # valid exactly when it costs less than _INF.
 _INF = 1 << 60
+
+# _short_cycles scans the cycle lengths up to this in one flat pass, and
+# each longer one in a pass of its own.  Flat passes up to 13 or 14 saved
+# at most 0.1 ms at spans 13-16 (x86-64, numpy 2.4) with tables two and
+# four times as large; one up to 10 took twice as long at span 12.
+_FLAT_LENGTHS = 12
 
 
 class SpanCapError(RuntimeError):
@@ -341,25 +355,45 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | N
     A closed walk of length L <= s re-appends its own bits, so its words
     are the s-bit prefixes of the L-periodic sequence u u u ... and of
     its rotations, for an L-bit word u, and its weight is popcount(u).
-    For each L in 1..s, u is valid when all L rotations spell valid
-    words: the rotations are ANDed together in ceil(log2 L) doubling
-    steps, each a transpose of the high and low bits of u.  Each row
-    keeps the first least-weight u of the shortest L at its least mean.
-    At that L no word of that mean has a shorter period, so the first
-    one is its own least rotation, and, as L <= s, the window u u u ...
-    is the smallest on its cycle.  The cycle walks from that window, so
-    it is min_mean_cycle's tie-broken witness among the cycles of length
-    at most s: shortest first, then the lexicographically smallest node
-    sequence.  Lengths are compared on the common denominator
-    lcm(1..s); the scaled weights stay below lcm(1..s) * (s+1), which
-    fits in int64 for s <= 41, and the memory guard already refuses
-    s >= 24.
+    The pair (L, u) is valid when all L rotations spell valid words.
+
+    The lengths up to k = min(s, _FLAT_LENGTHS) are scanned in one flat
+    pass over every pair (L, u), ordered by L and then by u, from the
+    tables of _flat_tables: one gather of each pair's window u u u ...;
+    ceil(log2 k) gather-ANDs with the pair rotated, which AND in all of
+    its rotations; and one argmax over the valid pairs of the gain
+    lcm + 1 - popcount(u) * lcm / L, with lcm = lcm(1..12) = 27720, so
+    that every gain is an exact integer that fits in uint16.  The argmax
+    is the first least mean in this order: the least mean, then the
+    shortest L, then the smallest u.  No word of that mean has a shorter
+    period at that L, so u is its own least rotation, and, as L <= s,
+    the window u u u ... is the smallest on its cycle.  The cycle walks
+    from that window, so it is min_mean_cycle's tie-broken witness among
+    the cycles of length at most s: shortest first, then the
+    lexicographically smallest node sequence.
+
+    Longer lengths, L = _FLAT_LENGTHS + 1 .. s, have too many words for
+    a flat table, and are scanned one length at a time, ascending: the
+    rotations are ANDed in ceil(log2 L) doubling steps, each a transpose
+    of the high and low bits of u, and the first least-weight u is that
+    length's candidate.  It replaces the row's best only at a strictly
+    lower mean, compared by cross-multiplying weights and lengths (at
+    most s + 1 and s), so shorter lengths keep ties and no common
+    denominator over 1..s is needed.
     """
     rows, n = valid.shape
     s = n.bit_length() - 1
-    ones = np.zeros(1, dtype=np.uint8)  # popcount of each L-bit word
-    weights, picks = [], []
-    for length in range(1, s + 1):
+    k = min(s, _FLAT_LENGTHS)
+    prefix, turns, gain, lengths, ones = _flat_tables(k)
+    ok = np.take(valid.T, prefix >> (63 - s), axis=0)  # (pairs, B)
+    for turn in turns:
+        ok &= np.take(ok, turn, axis=0)
+    best = (ok.T * gain).argmax(axis=1)
+    period = lengths[best].astype(np.int64)
+    word = best + 2 - (1 << period)
+    weight = np.where(ok[best, np.arange(rows)], ones[best], period + 1)  # L + 1: none
+    ones = ones[-(1 << k):]  # popcount of each k-bit word
+    for length in range(k + 1, s + 1):
         ones = np.concatenate([ones, ones + 1])
         reps = -(-s // length)
         spell = np.arange(1 << length) * sum(1 << (length * j) for j in range(reps))
@@ -371,19 +405,58 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | N
             np.bitwise_and(top, ok.reshape(rows, -1, 1 << step).transpose(0, 2, 1), out=top)
             step *= 2
         score = np.where(ok, ones, np.uint8(length + 1))
-        picks.append(score.argmin(axis=1))
-        weights.append(score[np.arange(rows), picks[-1]])
-    # weight / L on a common denominator; argmin keeps the shortest L.
-    lengths = np.arange(1, s + 1)
-    scaled = np.array(weights, dtype=np.int64) * (math.lcm(*lengths.tolist()) // lengths)[:, None]
+        pick = score.argmin(axis=1)
+        least = score[np.arange(rows), pick]
+        lower = least * period < weight * length
+        weight[lower], period[lower], word[lower] = least[lower], length, pick[lower]
     means, cycles = [Fraction(1)] * rows, [None] * rows
-    for r, i in enumerate(scaled.argmin(axis=0).tolist()):
-        q = i + 1
-        if weights[i][r] <= q:  # else no valid word of any length
-            bits = format(int(picks[i][r]), f"0{q}b")
-            means[r] = Fraction(bits.count("1"), q)
-            cycles[r] = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in range(q)]
+    for r, (w, q, u) in enumerate(zip(weight.tolist(), period.tolist(), word.tolist())):
+        if w <= q:  # else no valid word of any length
+            # The first s + q - 1 bits of u u u ... hold the q windows in turn.
+            spelled = int((format(u, f"0{q}b") * (s // q + 2))[:s + q - 1], 2)
+            means[r] = Fraction(w, q)
+            cycles[r] = [spelled >> j & (n - 1) for j in range(q - 1, -1, -1)]
     return means, cycles
+
+
+@functools.cache
+def _flat_tables(k: int):
+    """_short_cycles' tables over the pairs (L, u) of a length L in
+    1..k and an L-bit word u, built once per process for each k that a
+    solve needs.  Pair (L, u) sits at index 2^L - 2 + u, so the pairs
+    are ordered by L, then by u.
+
+    * prefix: the first 63 bits of u u u ..., so the pair's s-bit
+      window is prefix >> (63 - s), exact for s <= 52;
+    * turns: the ceil(log2 k) steps of the scan, each the map from a
+      pair to (L, u rotated left by b bits).  After c >= b rotations
+      are ANDed in, a step by b ANDs in c + b.  b doubles from 1, but
+      stays when c + b already reaches k, which saves a table: at
+      k = 12 the steps go by 1, 2, 4 and 4;
+    * gain: lcm + 1 - popcount(u) * lcm / L, with
+      lcm = lcm(1.._FLAT_LENGTHS) = 27720, so it fits in uint16;
+    * lengths and ones: L and popcount(u).
+
+    At k = 12 they take about 290 KB.  They are not built at import:
+    a fresh process pays for every page of them.
+    """
+    bits = np.arange(1, k + 1)
+    sizes = 1 << bits
+    u = np.arange((2 << k) - 2) - np.repeat(sizes - 2, sizes)
+    ones = np.bitwise_count(u)
+    lcm = math.lcm(*range(1, _FLAT_LENGTHS + 1))
+    gain = (lcm + 1 - ones * np.repeat(lcm // bits, sizes)).astype(np.uint16)
+    # Rotating u left by one bit moves its top bit to the bottom.
+    turn = np.arange(len(u)) + u - (u >= np.repeat(sizes >> 1, sizes)) * np.repeat(sizes - 1, sizes)
+    turns, by, covered = [], 1, 1
+    while covered < k:
+        if turns and covered + by < k:
+            turn, by = turn[turn], 2 * by
+        turns.append(turn)
+        covered += by
+    spread = [sum(1 << (63 - length * j) for j in range(1, 63 // length + 1)) for length in bits.tolist()]
+    prefix = u * np.repeat(spread, sizes)
+    return prefix, turns, gain, np.repeat(bits.astype(np.uint8), sizes), ones
 
 
 def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
@@ -503,7 +576,10 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
     The family is scale-reduced first; the window graph is built from
     the reduced family and must fit within span_cap.  The returned
     pattern is scaled back so that it pierces f itself, which is
-    re-verified before returning.
+    re-verified before returning.  A scaled pattern whose period is
+    estimated to need more than MEMORY_GUARD_BYTES, at
+    BYTES_PER_SCALED_CELL per cell, is refused with MemoryGuardError
+    before it is built.
     """
     if any(ship.size == 1 for ship in f.ships):
         # A single-cell ship forces every cell to be shot.
@@ -516,6 +592,12 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
 
     graph = WindowGraph.from_family(reduced)
     density, cycle = min_mean_cycle(graph)
+    estimate = d * len(cycle) * BYTES_PER_SCALED_CELL
+    if estimate > MEMORY_GUARD_BYTES:
+        raise MemoryGuardError(
+            f"scaling the optimal pattern of period {len(cycle)} by {d} needs "
+            f"~{estimate} bytes, above the guard of {MEMORY_GUARD_BYTES}"
+        )
     pattern = _verified_pattern(cycle, density, d, f)
 
     return SolveResult(
@@ -538,32 +620,37 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
     so a row is the from_family mask of its reduced family, and solved
     by _min_means.  Both bounds are certified on every family:
     _min_means checks the potentials, and the pattern of the walk it
-    yields for the row is scaled back and verified as in exact_density.
-    No witness is tie-broken.  search.compute_extremes at more than one
-    worker, search.check_mirror_triples and
-    closed_forms.three_ship_reflection_2d call it.
+    yields for the row is verified against the reduced family, which
+    scaled by d is checked to be the family itself.  So no scaled
+    pattern is built, and a family with a large offset gcd costs what
+    its reduced family does.  No witness is tie-broken.
+    search.compute_extremes at more than one worker,
+    search.check_mirror_triples and closed_forms.three_ship_reflection_2d
+    call it.
     """
     densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1
-    groups: dict[int, list[tuple[int, Family, int]]] = {}
+    groups: dict[int, list[tuple[int, Family]]] = {}
     for i, f in enumerate(families):
         if any(ship.size == 1 for ship in f.ships):
             continue
         reduced, d = scale_reduce(f)
+        if d > 1 and scale(reduced, d) != f:
+            raise AssertionError(f"{f} is not its reduced family scaled by {d}")
         s = reduced.span
         if s > span_cap:
             raise SpanCapError(s, span_cap)
         _guard_memory(s)
-        groups.setdefault(s, []).append((i, reduced, d))
+        groups.setdefault(s, []).append((i, reduced))
 
     for s, group in groups.items():
         size = _guard_memory(s)
         for start in range(0, len(group), size):
             batch = group[start:start + size]
-            valid = _window_masks(s, [reduced.ships for _, reduced, _ in batch])
+            valid = _window_masks(s, [reduced.ships for _, reduced in batch])
             for row, mean, cycle, _ in _min_means(valid):
-                i, _, d = batch[row]
+                i, reduced = batch[row]
                 densities[i] = mean
-                _verified_pattern(cycle, mean, d, families[i])
+                _verified_pattern(cycle, mean, 1, reduced)
     return densities
 
 

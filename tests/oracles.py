@@ -12,12 +12,14 @@ from the solver's parametric Bellman-Ford search:
   stays feasible on graphs whose cycle count explodes.
 
 A third oracle reads the cycles no longer than the window off their
-periodic words, one word at a time.  A fourth checks a 1D pattern
+periodic words, one word at a time, and a fourth, the solver's former
+short-cycle start, one length at a time.  A fifth checks a 1D pattern
 against a family by its definition, one translate at a time.
 
 All arithmetic is exact, on integers or Fractions.
 """
 
+import math
 from fractions import Fraction
 
 import networkx as nx
@@ -142,6 +144,46 @@ def short_cycle_by_periodic_words(graph):
                 if best is None or key < best[0]:
                     best = key, cycle
     return None if best is None else (best[0][0], best[1])
+
+
+def short_cycles_by_length(valid):
+    """The solver's short-cycle start computed one length at a time: for
+    each row of a (B, 2^s) mask stack, the least mean over the cycles of
+    length at most s and its cycle in walk order, or mean 1 and None.
+
+    For each L in 1..s, u is valid when all L rotations of u u u ...
+    spell valid words; the rotations are ANDed in ceil(log2 L) doubling
+    steps, each a transpose of the high and low bits of u.  Each row
+    keeps the first least-weight u of each L, and the first L at the
+    least mean, compared on the common denominator lcm(1..s).
+    """
+    rows, n = valid.shape
+    s = n.bit_length() - 1
+    ones = np.zeros(1, dtype=np.uint8)  # popcount of each L-bit word
+    weights, picks = [], []
+    for length in range(1, s + 1):
+        ones = np.concatenate([ones, ones + 1])
+        reps = -(-s // length)
+        spell = np.arange(1 << length) * sum(1 << (length * j) for j in range(reps))
+        ok = valid[:, spell >> (reps * length - s)]
+        step = 1
+        while step < length:
+            top = ok.reshape(rows, 1 << step, -1)
+            np.bitwise_and(top, ok.reshape(rows, -1, 1 << step).transpose(0, 2, 1), out=top)
+            step *= 2
+        score = np.where(ok, ones, np.uint8(length + 1))
+        picks.append(score.argmin(axis=1))
+        weights.append(score[np.arange(rows), picks[-1]])
+    lengths = np.arange(1, s + 1)
+    scaled = np.array(weights, dtype=np.int64) * (math.lcm(*lengths.tolist()) // lengths)[:, None]
+    means, cycles = [Fraction(1)] * rows, [None] * rows
+    for r, i in enumerate(scaled.argmin(axis=0).tolist()):
+        q = i + 1
+        if weights[i][r] <= q:
+            bits = format(int(picks[i][r]), f"0{q}b")
+            means[r] = Fraction(bits.count("1"), q)
+            cycles[r] = [int(((bits[k:] + bits[:k]) * s)[:s], 2) for k in range(q)]
+    return means, cycles
 
 
 def first_missed_translate_1d(pattern, family):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,20 @@ def test_memory_guard_refuses_span_24(capsys):
     code, out, err = run(capsys, "density", "0,1,23", "--span-cap", "24")
     assert (code, out) == (3, "")
     assert err.startswith("refused: solving span 24 needs ~")
+
+
+def test_large_offset_gcd_finishes_at_once(capsys):
+    # density scales its optimal pattern by the offset gcd, and refuses a
+    # pattern the memory guard cannot hold before building it;
+    # formula mirror3-2d solves on the batch entry point, which certifies
+    # on the reduced family.  Both once ran out of memory or time.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "density", "0,99999999999999999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: scaling the optimal pattern of period 2 by 99999999999999999999 needs ~")
+    assert run(capsys, "formula", "mirror3-2d", "--u", "30000000,0", "--v", "60000000,0") == (0, "1/3\n", "")
+    assert run(capsys, "formula", "mirror3-2d", "--u", "3,0", "--v", "6,0") == (0, "1/3\n", "")
+    assert time.perf_counter() - start < 5
 
 
 def test_span_cap_env_default(capsys, monkeypatch):

@@ -26,6 +26,7 @@ from oracles import (
     min_mean_by_closed_walks,
     min_mean_by_cycle_enumeration,
     short_cycle_by_periodic_words,
+    short_cycles_by_length,
 )
 
 small_families = st.lists(
@@ -306,6 +307,38 @@ def test_batch_memory_guard_refuses_before_allocating(monkeypatch):
         exact_densities([parse_family("0,1,3"), huge], span_cap=40)
 
 
+def test_scaled_pattern_guard_refuses_before_building(monkeypatch):
+    # exact_density scales its pattern by the offset gcd d, to a period of
+    # d times the cycle length.  The guard charges BYTES_PER_SCALED_CELL
+    # per cell of that period, and refuses before scale_pattern runs.
+    from shippierce.solver import BYTES_PER_SCALED_CELL, MemoryGuardError
+
+    monkeypatch.setattr(solver, "MEMORY_GUARD_BYTES", 1000 * 2 * BYTES_PER_SCALED_CELL)
+    r = exact_density(parse_family("0,1000"))
+    assert (r.density, r.cycle_length, r.scale, r.pattern.period) == (Fraction(1, 2), 2, 1000, 2000)
+
+    def no_scaling(pattern, d):
+        raise AssertionError("scaled before the guard")
+
+    monkeypatch.setattr(solver, "scale_pattern", no_scaling)
+    with pytest.raises(MemoryGuardError, match="scaling the optimal pattern of period 2 by 1001 needs ~"):
+        exact_density(parse_family("0,1001"))
+
+
+def test_batch_certifies_on_the_reduced_family(monkeypatch):
+    # exact_densities verifies each walk's pattern against the reduced
+    # family, so a family with a huge offset gcd is solved as its reduced
+    # family is: with no scaled pattern and no guard refusal.
+    def no_scaling(pattern, d):
+        assert d == 1, "built a scaled pattern"
+        return pattern
+
+    monkeypatch.setattr(solver, "scale_pattern", no_scaling)
+    d = 10**20
+    families = [parse_family(t) for t in ("0,1,3", "0,1", "0,2;0,3")]
+    assert exact_densities([scale(f, d) for f in families]) == [Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)]
+
+
 # Every canonical family of two 3-cell ships within span 7 (reduced
 # spans 4 to 7), some of them scaled by 2 or 3, and families with a
 # single-cell ship.
@@ -455,32 +488,81 @@ def test_search_starts_at_an_optimal_short_cycle(monkeypatch, text, cycle_length
 
 
 def test_short_cycles_equal_the_closed_walk_oracle():
-    # On random families up to span 8, and on one stack of several rows,
+    # On random families up to span 13, and on one stack of several rows,
     # each row's start is the least mean over closed walks of length at
     # most s, and its cycle is a closed walk of that row with that mean:
     # in walk order, the one of the shortest, then smallest, periodic word.
+    # The closed-walk oracle keeps n x n tables, so it runs up to span 10.
     import random
 
     rng = random.Random(19)
     graphs = []
-    for _ in range(40):
-        span = rng.randint(2, 8)
-        raws = [[0] + rng.sample(range(1, span), rng.randint(1, min(3, span - 1)))
-                for _ in range(rng.randint(1, 3))]
-        f, _ = scale_reduce(make_family(raws))
-        if f.span > 1:
-            graphs.append([WindowGraph.from_family(f)])
+    for count, spans in ((40, (2, 8)), (10, (9, 13))):
+        for _ in range(count):
+            span = rng.randint(*spans)
+            raws = [[0] + rng.sample(range(1, span), rng.randint(1, min(3, span - 1)))
+                    for _ in range(rng.randint(1, 3))]
+            f, _ = scale_reduce(make_family(raws))
+            if f.span > 1:
+                graphs.append([WindowGraph.from_family(f)])
     graphs.append([WindowGraph.from_family(parse_family(t)) for t in ("0,1,7", "0,3,7", "0,1;0,4,7", "0,2,5,7")])
+    graphs.append([WindowGraph.from_family(parse_family(t)) for t in ("0,1,12", "0,5,12", "0,1,11;0,11,12")])
+    assert max(stack[0].s for stack in graphs) == 13
     for stack in graphs:
         means, cycles = solver._short_cycles(np.stack([g.valid for g in stack]))
         for g, mean, cycle in zip(stack, means, cycles):
             assert isinstance(mean, Fraction)
-            assert mean == min_mean_by_closed_walks(g, max_length=g.s), g.nodes
+            if g.s <= 10:
+                assert mean == min_mean_by_closed_walks(g, max_length=g.s), g.nodes
             assert Fraction(sum(w & 1 for w in cycle), len(cycle)) == mean
             assert len(cycle) <= g.s and all(g.valid[w] for w in cycle)
             # Walk order: each word's successor comes next.
             assert all(v == (u << 1) & ((1 << g.s) - 1) | (v & 1) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
             assert (mean, cycle) == short_cycle_by_periodic_words(g), g.nodes
+
+
+def _periodic_mask(s, *words):
+    """The span-s mask whose valid windows are those of the cycles of the
+    given periodic words."""
+    valid = np.zeros(1 << s, dtype=bool)
+    for bits in words:
+        valid[[int(((bits[j:] + bits[:j]) * s)[:s], 2) for j in range(len(bits))]] = True
+    return valid
+
+
+def test_flat_scan_equals_the_per_length_scan():
+    # The flat scan of the lengths up to _FLAT_LENGTHS, with a pass per
+    # longer length, gives the means and cycles of the per-length scan it
+    # replaced, on stacks of seeded random masks at spans 1-16 and of rows
+    # built to reach each branch: a least mean only at a length above
+    # _FLAT_LENGTHS, a tie between lengths L and 2L, and no short cycle.
+    rng = np.random.default_rng(23)
+    lengths = set()
+    for s in range(1, 17):
+        rows = [rng.random(1 << s) < density for density in (0.97, 0.9, 0.7, 0.5, 0.3)]
+        rows[1][0] = rows[2][0] = False  # no all-zero self-loop of mean 0
+        rows.append(np.zeros(1 << s, dtype=bool))
+        if s >= 2:
+            rows.append(np.arange(1 << s) == 1)  # one window, not a cycle
+        if s >= 6:
+            rows.append(_periodic_mask(s, "011", "001111"))  # 2/3 at 3 and 6
+        if s >= 14:
+            rows.append(_periodic_mask(s, "0010011", "00010010011011"))  # 3/7 at 7 and 14
+            rows.append(_periodic_mask(s, "0010010010001" + "0" * (s - 14)))  # one cycle of s - 1
+        valid = np.stack(rows)
+        expected = short_cycles_by_length(valid)
+        means, cycles = solver._short_cycles(valid)
+        assert (means, cycles) == expected, s
+        lengths.update(len(c) if c else None for c in cycles)
+        assert cycles[5] is None and means[5] == 1
+        if s >= 2:
+            assert cycles[6] is None and means[6] == 1
+        if s >= 6:
+            assert (means[7], len(cycles[7])) == (Fraction(2, 3), 3)
+        if s >= 14:
+            assert (means[8], len(cycles[8])) == (Fraction(3, 7), 7)
+            assert len(cycles[9]) == s - 1 > solver._FLAT_LENGTHS
+    assert None in lengths and max(lengths - {None}) > solver._FLAT_LENGTHS
 
 
 def test_min_means_yields_fraction_means_walks_and_tight_masks():
