@@ -12,8 +12,8 @@ from the solver's parametric Bellman-Ford search:
   stays feasible on graphs whose cycle count explodes.
 
 A third oracle reads the cycles no longer than the window off their
-periodic words, one word at a time, and a fourth, the solver's former
-short-cycle start, one length at a time.  A fifth checks a 1D pattern
+periodic words, one word at a time, and a fourth reads the solver's
+short-cycle start one length at a time.  A fifth checks a 1D pattern
 against a family by its definition, one translate at a time.
 
 All arithmetic is exact, on integers or Fractions.
