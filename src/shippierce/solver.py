@@ -30,8 +30,8 @@ with this tie-break, is the witness.  Otherwise every optimal cycle is
 longer than the window.  Optimal cycles are exactly the cycles of tight
 (zero reduced cost) windows, and one is then extracted from them.
 Every cycle is kept in walk order, the order a pattern appends its
-cells, so the pattern is read straight off it; it is re-checked against
-the input family before it is returned, which certifies the upper bound.
+cells, so the pattern is read straight off it and checked against the
+reduced family, which certifies the upper bound (see _verified_pattern).
 
 exact_densities is the batch entry point for callers that need only
 densities: sweeps at more than one worker, the mirrored-triple check
@@ -70,10 +70,11 @@ MEMORY_GUARD_BYTES = 2 << 30
 BYTES_PER_WINDOW = 256
 
 # Peak RSS growth of a density command per cell of the period of its
-# scaled pattern, whose shots and the verifier's anchor sets are Python
-# sets of ints: 83-240 B at scales 3*10^5 and 10^6 on 0,1, 0,1;0,2,
-# 0,1,3, 0,1,7, 0,2;0,3, 0,1,2,...,7 and 0,1;0,2;0,3;0,4 (x86-64, Python
-# 3.11).  exact_density refuses a pattern the guard cannot hold at this rate.
+# scaled pattern, whose shots are a Python set of ints: 17-153 B between
+# scales 3*10^5 and 8*10^5 on 0,1, 0,1;0,2, 0,1,3, 0,1,7, 0,2;0,3,
+# 0,1,2,...,7, 0,1;0,2;0,3;0,4 and 0,1;...;0,7 (x86-64, Python 3.11).
+# Kept at 320, so d = 3,355,444 is the first refused at a period of 2.
+# exact_density refuses a pattern the guard cannot hold at this rate.
 BYTES_PER_SCALED_CELL = 320
 
 # An invalid window costs at least 2 * _INF, more than any potential can
@@ -574,12 +575,12 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
     """Exact minimum density of a periodic pattern piercing f.
 
     The family is scale-reduced first; the window graph is built from
-    the reduced family and must fit within span_cap.  The returned
-    pattern is scaled back so that it pierces f itself, which is
-    re-verified before returning.  A scaled pattern whose period is
-    estimated to need more than MEMORY_GUARD_BYTES, at
-    BYTES_PER_SCALED_CELL per cell, is refused with MemoryGuardError
-    before it is built.
+    the reduced family and must fit within span_cap.  The pattern is
+    certified on the reduced family, then scaled back by the offset gcd
+    d, which keeps its density and pierces f exactly when it pierces the
+    reduced family.  A scaled pattern whose period is estimated to need
+    more than MEMORY_GUARD_BYTES, at BYTES_PER_SCALED_CELL per cell, is
+    refused with MemoryGuardError before it is built.
     """
     if any(ship.size == 1 for ship in f.ships):
         # A single-cell ship forces every cell to be shot.
@@ -598,7 +599,9 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
             f"scaling the optimal pattern of period {len(cycle)} by {d} needs "
             f"~{estimate} bytes, above the guard of {MEMORY_GUARD_BYTES}"
         )
-    pattern = _verified_pattern(cycle, density, d, f)
+    pattern = scale_pattern(_verified_pattern(cycle, density, reduced, d, f), d)
+    if pattern.density != density:
+        raise AssertionError("optimal cycle density mismatch")
 
     return SolveResult(
         density=density,
@@ -634,35 +637,34 @@ def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) ->
         if any(ship.size == 1 for ship in f.ships):
             continue
         reduced, d = scale_reduce(f)
-        if d > 1 and scale(reduced, d) != f:
-            raise AssertionError(f"{f} is not its reduced family scaled by {d}")
         s = reduced.span
         if s > span_cap:
             raise SpanCapError(s, span_cap)
-        _guard_memory(s)
-        groups.setdefault(s, []).append((i, reduced))
+        groups.setdefault(s, []).append((i, reduced, d))
+    sizes = {s: _guard_memory(s) for s in groups}
 
     for s, group in groups.items():
-        size = _guard_memory(s)
-        for start in range(0, len(group), size):
-            batch = group[start:start + size]
-            valid = _window_masks(s, [reduced.ships for _, reduced in batch])
+        for start in range(0, len(group), sizes[s]):
+            batch = group[start:start + sizes[s]]
+            valid = _window_masks(s, [reduced.ships for _, reduced, _ in batch])
             for row, mean, cycle, _ in _min_means(valid):
-                i, reduced = batch[row]
+                i, reduced, d = batch[row]
                 densities[i] = mean
-                _verified_pattern(cycle, mean, 1, reduced)
+                _verified_pattern(cycle, mean, reduced, d, families[i])
     return densities
 
 
-def _verified_pattern(walk: list[int], density: Fraction, d: int, f: Family) -> Pattern1D:
-    """The pattern a closed walk appends, scaled by d, checked to have
-    the given density and to pierce f: the upper-bound certificate."""
+def _verified_pattern(walk: list[int], density: Fraction, reduced: Family, d: int, f: Family) -> Pattern1D:
+    """The upper-bound certificate: the pattern a closed walk appends has
+    the given density and pierces reduced, and scale(reduced, d) == f."""
+    if d > 1 and scale(reduced, d) != f:
+        raise AssertionError(f"{f} is not its reduced family scaled by {d}")
     length = len(walk)
     residues = {i for i in range(length) if walk[(i + 1) % length] & 1}
-    pattern = scale_pattern(Pattern1D(length, residues), d)
+    pattern = Pattern1D(length, residues)
     if pattern.density != density:
         raise AssertionError("optimal cycle density mismatch")
-    witness = verify_pattern_1d(pattern, f)
+    witness = verify_pattern_1d(pattern, reduced)
     if witness is not None:
         raise AssertionError(f"optimal pattern failed verification at {witness}")
     return pattern

@@ -608,17 +608,21 @@ def test_optimal_cycles_are_exactly_the_tight_cycles():
     assert optimal_cycles > 100
 
 
-def _drop_a_residue(x, d):
-    scaled = scale_pattern(x, d)
-    return Pattern1D(scaled.period, sorted(scaled.residues)[1:])
+def _drop_a_residue(period, residues):
+    return Pattern1D(period, sorted(residues)[1:])
 
 
-@pytest.mark.parametrize("solve", [exact_density, lambda f: exact_densities([f])], ids=["single", "batch"])
+BOTH_ENTRY_POINTS = pytest.mark.parametrize(
+    "solve", [exact_density, lambda f: exact_densities([f])], ids=["single", "batch"]
+)
+
+
+@BOTH_ENTRY_POINTS
 @pytest.mark.parametrize(
     "name, fake, message",
     [
         ("verify_pattern_1d", lambda x, f: (0, 0), "optimal pattern failed verification at (0, 0)"),
-        ("scale_pattern", _drop_a_residue, "optimal cycle density mismatch"),
+        ("Pattern1D", _drop_a_residue, "optimal cycle density mismatch"),
     ],
 )
 def test_upper_bound_certificate_fires_in_both_entry_points(monkeypatch, solve, name, fake, message):
@@ -627,6 +631,45 @@ def test_upper_bound_certificate_fires_in_both_entry_points(monkeypatch, solve, 
     monkeypatch.setattr(solver, name, fake)
     with pytest.raises(AssertionError, match=re.escape(message)):
         solve(parse_family("0,2,6"))
+
+
+@BOTH_ENTRY_POINTS
+def test_scale_check_fires_in_both_entry_points(monkeypatch, solve):
+    # The certificate checks that the family is its reduced family scaled
+    # by d.  0,2,7 has offset gcd 1, so a scale_reduce claiming it is
+    # 0,1,3 scaled by 2 is caught, though 0,1,3 is solved and pierced.
+    monkeypatch.setattr(solver, "scale_reduce", lambda f: (parse_family("0,1,3"), 2))
+    with pytest.raises(AssertionError, match="0,2,7 is not its reduced family scaled by 2"):
+        solve(parse_family("0,2,7"))
+
+
+def test_scaled_pattern_density_is_checked(monkeypatch):
+    # exact_density scales the certified pattern back by d; a scaling that
+    # drops a shot changes the density, and is refused.
+    def drop_a_scaled_residue(x, d):
+        scaled = scale_pattern(x, d)
+        return _drop_a_residue(scaled.period, scaled.residues)
+
+    monkeypatch.setattr(solver, "scale_pattern", drop_a_scaled_residue)
+    with pytest.raises(AssertionError, match="optimal cycle density mismatch"):
+        exact_density(parse_family("0,2,6"))
+
+
+def test_exact_density_certifies_on_the_reduced_family(monkeypatch):
+    # The pattern is verified once, at the reduced family's period, and
+    # only then scaled back by the offset gcd 2000.
+    calls = []
+    real = solver.verify_pattern_1d
+
+    def recording(x, f):
+        calls.append((x, str(f)))
+        return real(x, f)
+
+    monkeypatch.setattr(solver, "verify_pattern_1d", recording)
+    r = exact_density(parse_family("0,2000,6000"))
+    assert [(x.period, f) for x, f in calls] == [(5, "0,1,3")]
+    assert (r.density, r.scale, r.cycle_length, r.pattern.period) == (Fraction(2, 5), 2000, 5, 10000)
+    assert r.pattern == scale_pattern(calls[0][0], 2000)
 
 
 def test_batch_yields_every_row_once_as_it_finishes(monkeypatch):
