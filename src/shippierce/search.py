@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Family, Ship, format_density, parse_family
-from .solver import DEFAULT_SPAN_CAP, MemoryGuardError, _guard_memory, exact_densities, exact_density
+from .solver import DEFAULT_SPAN_CAP, _guard_memory, exact_densities, exact_density
 
 
 def ships_with_span(k: int, span_budget: int) -> list[Ship]:
@@ -235,8 +235,8 @@ def compute_extremes(
     called.
 
     A sweep with a family left to solve whose span trips the solver's
-    memory guard raises MemoryGuardError before it solves anything or
-    opens results_path.
+    memory guard is refused by it before it solves anything or opens
+    results_path.
 
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
@@ -262,15 +262,12 @@ def compute_extremes(
 
     old_text, densities = _load_results(Path(results_path), k) if results_path else ("", {})
     todo = [t for t in texts if t not in densities]
-    # A sweep whose largest span left to solve trips the memory guard is
-    # refused before it solves or writes anything.  Its families have
-    # offset gcd 1, so a text's span is its reduced span, and the texts
-    # are scanned only when the span budget itself trips the guard.
-    try:
-        _guard_memory(span_budget)
-    except MemoryGuardError:
-        if todo:
-            _guard_memory(max(map(_text_span, todo)))
+    # Each family left to solve has offset gcd 1, so its text's span is
+    # its reduced span.  A sweep whose largest one trips the memory guard
+    # is refused before it solves or writes anything.
+    span = {t: _text_span(t) for t in todo}
+    if span:
+        _guard_memory(max(span.values()))
 
     with ExitStack() as stack:
         out = stack.enter_context(open(results_path, "a")) if results_path else None
@@ -278,10 +275,10 @@ def compute_extremes(
             out.write("\n")
         if workers > 1:
             # Largest span first, enumeration order within a span (a stable
-            # sort).  With offset gcd 1 this is the reduced span that
-            # exact_densities stacks by, so chunks make fewer, fuller
-            # stacks, and the pool gets its heaviest chunks first.
-            todo.sort(key=_text_span, reverse=True)
+            # sort).  This is the reduced span that exact_densities stacks
+            # by, so chunks make fewer, fuller stacks, and the pool gets its
+            # heaviest chunks first.
+            todo.sort(key=span.__getitem__, reverse=True)
             chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
             # A single chunk is solved as one batch in this process: only
             # one pool worker could run on it, and the fork costs more

@@ -205,7 +205,7 @@ def min_mean_cycle(graph: WindowGraph) -> tuple[Fraction, list[int]]:
     """
     [(_, mean, cycle, tight)] = _min_means(graph.valid[None])
     if cycle is None or len(cycle) > graph.s:
-        cycle = _extract_cycle(graph, tight, mean.denominator)
+        cycle = _extract_cycle(tight, mean.denominator)
     assert mean * len(cycle) == sum(w & 1 for w in cycle)
     return mean, cycle
 
@@ -385,19 +385,18 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | N
     rows, n = valid.shape
     s = n.bit_length() - 1
     k = min(s, _FLAT_LENGTHS)
-    prefix, turns, gain, lengths, ones = _flat_tables(k)
+    prefix, turns, gain, lengths = _flat_tables(k)
     ok = np.take(valid.T, prefix >> (63 - s), axis=0)  # (pairs, B)
     for turn in turns:
         ok &= np.take(ok, turn, axis=0)
     best = (ok.T * gain).argmax(axis=1)
     period = lengths[best].astype(np.int64)
     word = best + 2 - (1 << period)
-    weight = np.where(ok[best, np.arange(rows)], ones[best], period + 1)  # L + 1: none
-    ones = ones[-(1 << k):]  # popcount of each k-bit word
+    weight = np.where(ok[best, np.arange(rows)], np.bitwise_count(word), period + 1)  # L + 1: none
     for length in range(k + 1, s + 1):
-        ones = np.concatenate([ones, ones + 1])
+        u = np.arange(1 << length)
         reps = -(-s // length)
-        spell = np.arange(1 << length) * sum(1 << (length * j) for j in range(reps))
+        spell = u * sum(1 << (length * j) for j in range(reps))
         ok = valid[:, spell >> (reps * length - s)]
         step = 1
         while step < length:
@@ -405,7 +404,7 @@ def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | N
             top = ok.reshape(rows, 1 << step, -1)
             np.bitwise_and(top, ok.reshape(rows, -1, 1 << step).transpose(0, 2, 1), out=top)
             step *= 2
-        score = np.where(ok, ones, np.uint8(length + 1))
+        score = np.where(ok, np.bitwise_count(u), np.uint8(length + 1))
         pick = score.argmin(axis=1)
         least = score[np.arange(rows), pick]
         lower = least * period < weight * length
@@ -430,34 +429,29 @@ def _flat_tables(k: int):
     * prefix: the first 63 bits of u u u ..., so the pair's s-bit
       window is prefix >> (63 - s), exact for s <= 52;
     * turns: the ceil(log2 k) steps of the scan, each the map from a
-      pair to (L, u rotated left by b bits).  After c >= b rotations
-      are ANDed in, a step by b ANDs in c + b.  b doubles from 1, but
-      stays when c + b already reaches k, which saves a table: at
-      k = 12 the steps go by 1, 2, 4 and 4;
+      pair to (L, u rotated left by b bits), for b = 1, 2, 4, ...: after
+      the steps before it have ANDed in b rotations, a step ANDs in 2b;
     * gain: lcm + 1 - popcount(u) * lcm / L, with
       lcm = lcm(1.._FLAT_LENGTHS) = 27720, so it fits in uint16;
-    * lengths and ones: L and popcount(u).
+    * lengths: L.
 
-    At k = 12 they take about 290 KB.  They are not built at import:
+    At k = 12 they take about 350 KB.  They are not built at import:
     a fresh process pays for every page of them.
     """
     bits = np.arange(1, k + 1)
     sizes = 1 << bits
     u = np.arange((2 << k) - 2) - np.repeat(sizes - 2, sizes)
-    ones = np.bitwise_count(u)
     lcm = math.lcm(*range(1, _FLAT_LENGTHS + 1))
-    gain = (lcm + 1 - ones * np.repeat(lcm // bits, sizes)).astype(np.uint16)
+    gain = (lcm + 1 - np.bitwise_count(u) * np.repeat(lcm // bits, sizes)).astype(np.uint16)
     # Rotating u left by one bit moves its top bit to the bottom.
     turn = np.arange(len(u)) + u - (u >= np.repeat(sizes >> 1, sizes)) * np.repeat(sizes - 1, sizes)
-    turns, by, covered = [], 1, 1
-    while covered < k:
-        if turns and covered + by < k:
-            turn, by = turn[turn], 2 * by
+    turns = []
+    while 1 << len(turns) < k:
         turns.append(turn)
-        covered += by
+        turn = turn[turn]
     spread = [sum(1 << (63 - length * j) for j in range(1, 63 // length + 1)) for length in bits.tolist()]
     prefix = u * np.repeat(spread, sizes)
-    return prefix, turns, gain, np.repeat(bits.astype(np.uint8), sizes), ones
+    return prefix, turns, gain, np.repeat(bits.astype(np.uint8), sizes)
 
 
 def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
@@ -488,16 +482,16 @@ def _parent_cycle(parent: np.ndarray, n: int) -> list[list[int] | None]:
     return cycles
 
 
-def _extract_cycle(graph, tight, q) -> list[int]:
+def _extract_cycle(tight, q) -> list[int]:
     """Deterministic optimal cycle among the tight windows, when every
     optimal cycle is longer than the window.
 
-    tight[w] flags the windows of zero reduced cost: a closed walk is
-    optimal exactly when all of its windows are tight.  A window is kept
-    while it has a kept predecessor; the others lie on no such walk.
-    Windows without a kept successor are kept: a search only enters
-    windows that reach its root, so trimming them would not shrink it.
-    Then:
+    tight[w] flags the s-bit windows w of zero reduced cost, s read off
+    its 2^s entries: a closed walk is optimal exactly when all of its
+    windows are tight.  A window is kept while it has a kept
+    predecessor; the others lie on no such walk.  Windows without a kept
+    successor are kept: a search only enters windows that reach its
+    root, so trimming them would not shrink it.  Then:
 
     * reduced costs sum to zero on a tight cycle, so q*W = p*L and, as
       gcd(p, q) = 1, every optimal length L is a multiple of q;
@@ -519,7 +513,8 @@ def _extract_cycle(graph, tight, q) -> list[int]:
       successor finishes it in exactly r steps iff its distance back to
       the start is r; the descent takes the smallest such one.
     """
-    half = len(graph.valid) >> 1
+    half = len(tight) >> 1
+    s = half.bit_length()
     alive = tight
     while True:
         keep = alive & (alive[:half] | alive[half:]).repeat(2)
@@ -531,12 +526,12 @@ def _extract_cycle(graph, tight, q) -> list[int]:
         raise ValueError("graph has no cycle")
     kept = memoryview(alive)  # for cheap scalar lookups
     roots = words
-    for j in range(1, graph.s):
-        roots = roots[(roots & ((1 << (graph.s - j)) - 1)) >= (roots >> j)]
+    for j in range(1, s):
+        roots = roots[(roots & ((1 << (s - j)) - 1)) >= (roots >> j)]
 
     limit = words.size
     for start in roots.tolist():
-        if limit <= graph.s:
+        if limit <= s:
             break
         if found := _distances_to(kept, start, limit):
             witness, limit = (start, found), found[0] - q

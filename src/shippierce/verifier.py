@@ -84,7 +84,7 @@ def verify_pattern_1d(x: Pattern1D, f: Family) -> tuple[int, int] | None:
     for i, ship in enumerate(f.ships):
         hit = {(r - a) % p for r in x.residues for a in ship.offsets}
         if len(hit) < p:
-            return (i, min(set(range(p)) - hit))
+            return (i, next(n for n in range(p) if n not in hit))
     return None
 
 

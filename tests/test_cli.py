@@ -117,6 +117,29 @@ def test_large_offset_gcd_finishes_at_once(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_verify_of_a_huge_period_finishes_at_once_in_bounded_memory():
+    # A console-script run under a 1.5 GB address-space limit: a set of
+    # all 10^9 anchors of the period once raised MemoryError here.
+    # OpenBLAS reserves address space per thread when numpy is imported,
+    # so one thread keeps the limit about verify on many-core machines.
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    limit = 1_500_000 * 1024
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from shippierce.cli import main; sys.exit(main())",
+         "verify", "--pattern", "1000000000:0", "0,1"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "miss ship 0 offset 1\n", "")
+    assert time.perf_counter() - start < 5
+
+
 def test_span_cap_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SHIPPIERCE_SPAN_CAP", "5")
     code, _, err = run(capsys, "density", "0,1,9")

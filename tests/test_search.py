@@ -540,6 +540,49 @@ def test_over_guard_sweep_is_refused_before_any_solve(tmp_path, monkeypatch, wor
     assert not out.exists()
 
 
+def guard_room_for_span_8(monkeypatch):
+    from shippierce import solver
+
+    monkeypatch.setattr(solver, "MEMORY_GUARD_BYTES", (1 << 8) * solver.BYTES_PER_WINDOW)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_over_guard_sweep_runs_when_its_large_spans_are_cached(tmp_path, monkeypatch, workers):
+    # The guard looks only at the families left to solve: with every
+    # span-9 family of (2, 2, 9) in the results file, the spans 3 to 8
+    # left fit, and the sweep gives a clean run's file.
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 2, 9, results_path=clean)
+    cached = [
+        line for line in clean.read_text().splitlines(keepends=True)
+        if "\t" in line and parse_family(line.partition("\t")[0]).span == 9
+    ]
+    assert len(cached) == 4  # 0,a;0,8 for odd a: the even ones have gcd 2
+    out = tmp_path / "results.txt"
+    out.write_text("".join(cached))
+    guard_room_for_span_8(monkeypatch)
+    assert compute_extremes(2, 2, 9, workers=workers, results_path=out) == rep_clean
+    assert out.read_text() == clean.read_text()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_over_guard_resume_of_a_complete_file_solves_nothing(tmp_path, monkeypatch, workers):
+    # With nothing left to solve, neither the guard nor a solver is
+    # reached, and the complete file is left as it is.
+    out = tmp_path / "results.txt"
+    rep = compute_extremes(2, 2, 9, results_path=out)
+    before = out.read_text()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a cached family")
+
+    guard_room_for_span_8(monkeypatch)
+    monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
+    monkeypatch.setattr(shippierce.search, "exact_densities", no_solve)
+    assert compute_extremes(2, 2, 9, workers=workers, results_path=out) == rep
+    assert out.read_text() == before
+
+
 def test_budget_must_fit_cap():
     with pytest.raises(ValueError):
         compute_extremes(1, 3, 12, span_cap=10)

@@ -533,12 +533,12 @@ def _periodic_mask(s, *words):
 def test_flat_scan_equals_the_per_length_scan():
     # The flat scan of the lengths up to _FLAT_LENGTHS, with a pass per
     # longer length, gives the means and cycles of the per-length scan it
-    # replaced, on stacks of seeded random masks at spans 1-16 and of rows
+    # replaced, on stacks of seeded random masks at spans 1-18 and of rows
     # built to reach each branch: a least mean only at a length above
     # _FLAT_LENGTHS, a tie between lengths L and 2L, and no short cycle.
     rng = np.random.default_rng(23)
     lengths = set()
-    for s in range(1, 17):
+    for s in range(1, 19):
         rows = [rng.random(1 << s) < density for density in (0.97, 0.9, 0.7, 0.5, 0.3)]
         rows[1][0] = rows[2][0] = False  # no all-zero self-loop of mean 0
         rows.append(np.zeros(1 << s, dtype=bool))

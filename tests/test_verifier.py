@@ -39,6 +39,12 @@ def test_witness_is_lexicographically_first():
     assert verify_pattern_2d(x, fam) == (0, (0, 0))
 
 
+def test_first_miss_of_a_huge_period_is_found_at_once():
+    # The first anchor missing from the hit set is found in at most
+    # len(hit) + 1 steps, without a set of all the period's anchors.
+    assert verify_pattern_1d(Pattern1D(10**12, {0}), make_family([[0, 1]])) == (0, 1)
+
+
 def test_verify_1d_matches_the_definition():
     rng = random.Random(24)
     late_misses = 0
