@@ -158,17 +158,19 @@ def _text_span(text: str) -> int:
     return 1 + max(int(ship.rpartition(",")[2]) for ship in text.split(";"))
 
 
-def _densities(texts: list[str], span_cap: int) -> list[Fraction]:
-    """exact_densities of the family texts of one chunk.  A sweep's
-    families are drawn from few ships, so each distinct ship text is
-    parsed once."""
+def _densities(texts: list[str], span_cap: int) -> list[str]:
+    """exact_densities of the family texts of one chunk, as the `p/q`
+    strings format_density writes.  A sweep's families are drawn from few
+    ships, so each distinct ship text is parsed once.  A pool worker sends
+    its results back pickled, and strings pickle several times faster
+    than Fractions."""
     ships: dict[str, Ship] = {}
     for text in texts:
         for ship in text.split(";"):
             if ship not in ships:
                 ships[ship] = parse_family(ship).ships[0]
     families = [Family(tuple(map(ships.__getitem__, text.split(";")))) for text in texts]
-    return exact_densities(families, span_cap=span_cap)
+    return [format_density(density) for density in exact_densities(families, span_cap=span_cap)]
 
 
 def _is_valid_density(frac: str, lowest: Fraction) -> bool:
@@ -299,9 +301,11 @@ def compute_extremes(
             # One worker solves one family at a time in this process, so
             # wrappers installed on this module's functions (tracing,
             # tests) see every call.
-            solved = (exact_density(parse_family(t), span_cap=span_cap).density for t in todo)
-        for i, (text, density) in enumerate(zip(todo, solved), 1):
-            frac = densities[text] = format_density(density)
+            solved = (
+                format_density(exact_density(parse_family(t), span_cap=span_cap).density) for t in todo
+            )
+        for i, (text, frac) in enumerate(zip(todo, solved), 1):
+            densities[text] = frac
             if out:
                 out.write(f"{text}\t{frac}\n")
                 if i % checkpoint_every == 0:

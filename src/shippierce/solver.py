@@ -230,6 +230,21 @@ def _min_means(valid: np.ndarray):
     nodes.  State 2a + b is entered by the windows 2a + b and
     2a + b + 2^(s-1), from the states a and a + 2^(s-2).
 
+    The window costs are kept halves-major, shape (2, B, 2^(s-1)):
+    cost[h, i, x] is the cost of window h * 2^(s-1) + x of row i, so the
+    two windows entering state x sit at the same place in the two
+    contiguous halves.  A stack gets one int64 buffer of that shape,
+    placed so that its stores do not alias the costs' loads (see
+    _buffer_beside).  Every sweep fills it with the potential of the
+    state each window leaves, by two strided copies of the potentials'
+    halves (see _source_views; at span 1 the one state fills it by
+    broadcasting), and adds the costs to it in place.  Its halves are
+    then the two offers to each state, and no sweep repeats or copies
+    the potentials into a new array.  The buffer and every view of it are dropped before rows
+    are certified, and a new one is made for the rows left, so that the
+    certificate's reduced costs take its place rather than adding to the
+    peak.
+
     Each row starts from lambda = p/q, the least mean over its cycles of
     length at most s, and the tie-broken one of them (see
     _short_cycles).  A row with no cycle that short starts at lambda = 1
@@ -266,8 +281,11 @@ def _min_means(valid: np.ndarray):
     zero, not below it.  Such a row is final, and no pointers are
     checked after a sweep that changes no row.  Rows leave at one exit:
     after a check, or after a sweep that changes no row, every row that
-    sweep left unchanged is certified on every window, yielded and
-    dropped from the stack, and the loop ends when no row is left.
+    sweep left unchanged is certified on every window, all of them in
+    one reduced-cost pass (see _certified_tight) that reads the costs
+    themselves when every row leaves and a copy of the leaving rows'
+    costs otherwise.  They are then yielded and dropped from the stack,
+    and the loop ends when no row is left.
     Every other sweep issues the same numpy calls at any B.  As the
     schedule is fixed and rows touch only their own slices, a row's
     lambda drops and final potentials are those it reaches alone: its
@@ -287,23 +305,28 @@ def _min_means(valid: np.ndarray):
     certify its mean.
     """
     means, cycles = _short_cycles(valid)  # before the large arrays below
-    n = valid.shape[1]
-    states = n >> 1
+    states = valid.shape[1] >> 1
     quarter = states >> 1
     rows = np.arange(len(valid))
     p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
-    # Window w weighs q * (w & 1) - p: the odd windows append a 1.
-    cost = np.where(valid, -p, 2 * _INF)
-    cost[:, 1::2] += q
+    # Halves-major: cost[h, i, x] is the cost of window h * states + x.
+    cost = _window_costs(valid, p, q).reshape(len(valid), 2, states).transpose(1, 0, 2).copy()
     d = np.zeros((len(valid), states), dtype=np.int64)
     pick = np.zeros(d.shape, dtype=bool)  # which of a state's two parents, once d < 0
     sweep = 0
+    enter = None
     while rows.size:
         sweep += 1
-        # enter[:, w] = d[w >> 1] + cost[w], offered to state w mod states.
-        enter = d.repeat(2, axis=1)
+        if enter is None:
+            # enter[h, i, x] = d[i, h * quarter + (x >> 1)] + cost[h, i, x] is
+            # offered to state x of row i.  One buffer serves every sweep
+            # until rows leave.
+            enter = _buffer_beside(cost)
+            even, odd, source = _source_views(enter, d)
+            low, high = enter
+        np.copyto(even, source)
+        np.copyto(odd, source)
         enter += cost
-        low, high = enter[:, :states], enter[:, states:]
         best = np.minimum(low, high)
         improved = best < d
         if improved.any():
@@ -330,22 +353,87 @@ def _min_means(valid: np.ndarray):
                 mean = Fraction(sum(w & 1 for w in windows), len(windows))
                 assert mean < means[r], "parent cycle is not negative"
                 means[r], cycles[r] = mean, windows
-                cost[i] = np.where(cost[i] < _INF, -mean.numerator, 2 * _INF)
-                cost[i, 1::2] += mean.denominator
+                cost[:, i] = _window_costs(valid[r], mean.numerator, mean.denominator).reshape(
+                    2, states
+                )
                 d[i] = 0
                 pick[i] = False
         done = ~improved.any(axis=1)
         if not done.any():
             continue
-        del enter, low, high, best  # before the certificates' temporaries
-        for i in np.flatnonzero(done).tolist():
-            # Window w's reduced cost d[w >> 1] + cost[w] - d[w mod states].
-            reduced = (d[i].repeat(2) + cost[i]).reshape(2, states) - d[i]
-            if (reduced < 0).any():
-                raise AssertionError("potentials do not certify the minimum cycle mean")
+        # The buffer and every view of it go before the certificate
+        # allocates its reduced costs, and a new one is made for the rows left.
+        enter = even = odd = source = low = high = best = None
+        keep = ~done
+        if keep.any():
+            tight = _certified_tight(d[done], cost.compress(done, axis=1))
+        else:  # no copy of the costs when every row leaves
+            tight = _certified_tight(d, cost)
+        for j, i in enumerate(np.flatnonzero(done).tolist()):
             r = int(rows[i])
-            yield r, means[r], cycles[r], (reduced == 0).ravel()
-        rows, cost, d, pick = rows[~done], cost[~done], d[~done], pick[~done]
+            yield r, means[r], cycles[r], tight[:, j].reshape(-1)
+        rows, cost, d, pick = rows[keep], cost.compress(keep, axis=1), d[keep], pick[keep]
+
+
+def _window_costs(valid: np.ndarray, p, q) -> np.ndarray:
+    """The integer weight q * (w & 1) - p of each valid window w of a
+    mask or mask stack at lambda = p/q, and 2 * _INF of each invalid one."""
+    cost = np.where(valid, -p, 2 * _INF)
+    cost[..., 1::2] += q
+    return cost
+
+
+def _buffer_beside(cost: np.ndarray) -> np.ndarray:
+    """An uninitialized int64 array of cost's shape whose data starts half a
+    4 KB page away from cost's, modulo 4 KB.
+
+    malloc tends to place an array right after the last one of its size,
+    16 B of header apart, and `enter += cost` on two arrays 16 B apart
+    modulo 4 KB ran 2.2-3x as slow as at any larger offset: each store
+    to enter aliases, in its low 12 address bits, a load of cost a few
+    elements ahead (x86-64, span 20, 8 MB each).
+    """
+    base = np.empty(cost.size + 512, dtype=np.int64)
+    start = (cost.ctypes.data + 2048 - base.ctypes.data) % 4096 // 8
+    return base[start:start + cost.size].reshape(cost.shape)
+
+
+def _source_views(enter: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views (even, odd, source) such that copying source into even and
+    into odd fills a halves-major (2, B, 2^(s-1)) window array with the
+    potentials d, shape (B, 2^(s-1)), of the states its windows leave.
+
+    Window h * 2^(s-1) + 2a + b leaves state h * 2^(s-2) + a, so the two
+    strided copies of d's halves give enter[h, r, 2a + b] =
+    d[r, h * 2^(s-2) + a], for b = 0 and b = 1.  At span 1 both windows
+    leave the one state: even and odd are enter itself, which d fills by
+    broadcasting.
+    """
+    quarter = d.shape[1] >> 1
+    if not quarter:
+        return enter, enter, d
+    pairs = enter.reshape(2, len(d), quarter, 2)
+    return pairs[..., 0], pairs[..., 1], d.reshape(len(d), 2, quarter).transpose(1, 0, 2)
+
+
+def _certified_tight(d: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """The lower-bound certificate of rows leaving the search: checks that
+    no window w has a negative reduced cost
+    d[w >> 1] + cost[w] - d[w mod 2^(s-1)] under the rows' potentials d,
+    shape (B, 2^(s-1)), and halves-major costs, shape (2, B, 2^(s-1)), and
+    returns the tight (zero reduced cost) windows, halves-major too.
+
+    Raises AssertionError if a window has a negative reduced cost.
+    """
+    reduced = np.empty(cost.shape, dtype=np.int64)
+    even, odd, source = _source_views(reduced, d)
+    np.copyto(even, source)
+    np.copyto(odd, source)
+    reduced += cost
+    reduced -= d
+    if (reduced < 0).any():
+        raise AssertionError("potentials do not certify the minimum cycle mean")
+    return reduced == 0
 
 
 def _short_cycles(valid: np.ndarray) -> tuple[list[Fraction], list[list[int] | None]]:

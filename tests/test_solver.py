@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,6 +468,90 @@ def test_stacked_rows_solve_as_they_do_alone(monkeypatch):
         for row, (mean, cycle, tight) in stacked.items():
             assert (mean, cycle) == alone[row][:2], (span, str(group[row]))
             assert np.array_equal(tight, alone[row][2]), (span, str(group[row]))
+
+
+def test_stacked_random_rows_at_tiny_spans_solve_as_they_do_alone(monkeypatch):
+    # Seeded random stacks at spans 1-5: the sweep buffer's smallest
+    # shapes, span 1 filled from its one state by broadcasting, and exits
+    # that several rows leave at once.  Each row yields the mean, cycle
+    # and tight mask of its one-row solve.
+    exits = []
+    real = solver._certified_tight
+
+    def counting(d, cost):
+        exits.append(len(d))
+        return real(d, cost)
+
+    monkeypatch.setattr(solver, "_certified_tight", counting)
+    rng = np.random.default_rng(1)
+    for s in range(1, 6):
+        exits.clear()
+        for _ in range(30):
+            valid = rng.random((int(rng.integers(2, 9)), 1 << s)) < rng.uniform(0.3, 0.9)
+            alone = [next(solver._min_means(row[None]))[1:] for row in valid]
+            stacked = {row: rest for row, *rest in solver._min_means(valid)}
+            assert sorted(stacked) == list(range(len(valid)))
+            for row, (mean, cycle, tight) in stacked.items():
+                assert (mean, cycle) == alone[row][:2], (s, valid[row])
+                assert np.array_equal(tight, alone[row][2]), (s, valid[row])
+        assert max(exits) > 1, s
+
+
+@pytest.mark.parametrize("rows", [1, 2], ids=["one-row-exit", "multi-row-exit"])
+def test_lower_bound_certificate_fires(monkeypatch, rows):
+    # Lowering every window cost of the last row leaving at an exit by 1
+    # gives the tight windows of its optimal cycle a reduced cost of -1.
+    # The certificate refuses it, whether that row leaves alone or with
+    # others: 0,1,9 and its mirror image leave a stack at one exit.
+    real = solver._certified_tight
+    broken = []
+
+    def breaking(d, cost):
+        if len(d) >= rows:
+            cost = cost.copy()
+            cost[:, -1] -= 1
+            broken.append(len(d))
+        return real(d, cost)
+
+    monkeypatch.setattr(solver, "_certified_tight", breaking)
+    texts = ["0,1,9", "0,8,9"][:rows]
+    valid = np.stack([WindowGraph.from_family(parse_family(t)).valid for t in texts])
+    with pytest.raises(AssertionError, match="potentials do not certify the minimum cycle mean"):
+        list(solver._min_means(valid))
+    assert broken == [len(texts)]
+
+
+@pytest.mark.parametrize("text", ["0,1,15", "0,1,17"])
+def test_min_means_peak_memory_per_window(monkeypatch, text):
+    # The tracemalloc peak of a one-row solve at spans 16 and 18 is pinned
+    # at 40 B per window.  It reads 37 B at spans 16-22 (x86-64, numpy
+    # 2.4), reached at the parent checks while the sweep buffer is alive;
+    # building the parent pointers in one np.where expression reads 41.5 B.
+    # The certificate's own peak is pinned at 30 B per window.  It reads
+    # 26 B; keeping a view of the sweep buffer alive through it reads 34 B,
+    # and certifying a copy of the costs rather than the costs 38 B.
+    real = solver._certified_tight
+    sweeps, certificate = [], []
+
+    def measured(d, cost):
+        sweeps.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        tight = real(d, cost)
+        certificate.append(tracemalloc.get_traced_memory()[1])
+        return tight
+
+    monkeypatch.setattr(solver, "_certified_tight", measured)
+    valid = WindowGraph.from_family(parse_family(text)).valid[None]
+    solver._flat_tables(solver._FLAT_LENGTHS)  # built once per process
+    tracemalloc.start()
+    try:
+        [(_, mean, _, _)] = solver._min_means(valid)
+        peak = max(sweeps + [tracemalloc.get_traced_memory()[1]])
+    finally:
+        tracemalloc.stop()
+    assert mean == exact_density(parse_family(text)).density
+    assert peak <= 40 * valid.size, peak / valid.size
+    assert certificate[0] <= 30 * valid.size, certificate[0] / valid.size
 
 
 @pytest.mark.parametrize("text, cycle_length", [("0,1,11", 3), ("0,6,7", 8)])

@@ -1,5 +1,11 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,8 +47,24 @@ def test_witness_is_lexicographically_first():
 
 def test_first_miss_of_a_huge_period_is_found_at_once():
     # The first anchor missing from the hit set is found in at most
-    # len(hit) + 1 steps, without a set of all the period's anchors.
-    assert verify_pattern_1d(Pattern1D(10**12, {0}), make_family([[0, 1]])) == (0, 1)
+    # len(hit) + 1 steps, without a set of all the period's anchors.  It
+    # runs in a subprocess under a 1.5 GB address-space limit, so that a
+    # set of all 10^12 anchors fails this test with a MemoryError rather
+    # than exhausting the machine's memory and killing the test run.
+    limit = 1_500_000 * 1024
+    code = (
+        "from shippierce.core import make_family\n"
+        "from shippierce.verifier import Pattern1D, verify_pattern_1d\n"
+        "print(verify_pattern_1d(Pattern1D(10**12, {0}), make_family([[0, 1]])))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0, 1)\n", "")
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_1d_matches_the_definition():
