@@ -20,10 +20,11 @@ family, in enumeration order.  At more workers it sorts them by span,
 largest first, cuts them into chunks and solves each chunk with the
 batch entry point solver.exact_densities: across a process pool from
 two chunks up, and in this process when there is one chunk.  A sweep
-with nothing left to solve calls no solver.  It can keep a resumable
-results file.  Lines are appended to it in the order the families are
-solved, and at the end it holds one `family<TAB>p/q` line per family in
-lexicographic order, then a '#'-prefixed summary block.
+with nothing left to solve guards nothing, calls no solver and opens
+nothing for writing but the rewrite of a non-canonical file.  It can
+keep a resumable results file: lines are appended in the order the
+families are solved, and at the end it holds one `family<TAB>p/q` line
+per family in lexicographic order, then a '#'-prefixed summary block.
 """
 
 from __future__ import annotations
@@ -234,11 +235,10 @@ def compute_extremes(
     POOL_CHUNKSIZE, each solved as one batch by _densities: in a pool of
     at most one worker per chunk from two chunks up, and in this process
     for a single chunk.  With nothing left to solve, no solver is
-    called.
-
-    A sweep with a family left to solve whose span trips the solver's
-    memory guard is refused by it before it solves anything or opens
-    results_path.
+    called, no memory guard checked and nothing opened for writing, so
+    a canonical complete file is only read.  Otherwise, a sweep whose
+    largest span left trips the solver's memory guard is refused by it
+    before it solves anything or opens results_path.
 
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
@@ -264,52 +264,52 @@ def compute_extremes(
 
     old_text, densities = _load_results(Path(results_path), k) if results_path else ("", {})
     todo = [t for t in texts if t not in densities]
-    # Each family left to solve has offset gcd 1, so its text's span is
-    # its reduced span.  A sweep whose largest one trips the memory guard
-    # is refused before it solves or writes anything.
-    span = {t: _text_span(t) for t in todo}
-    if span:
+    if todo:
+        # Each family left to solve has offset gcd 1, so its text's span is
+        # its reduced span.  A sweep whose largest one trips the memory guard
+        # is refused before it solves or writes anything.
+        span = {t: _text_span(t) for t in todo}
         _guard_memory(max(span.values()))
+        with ExitStack() as stack:
+            out = stack.enter_context(open(results_path, "a")) if results_path else None
+            if old_text and not old_text.endswith("\n"):
+                out.write("\n")
+            if workers > 1:
+                # Largest span first, enumeration order within a span (a stable
+                # sort).  This is the reduced span that exact_densities stacks
+                # by, so chunks make fewer, fuller stacks, and the pool gets its
+                # heaviest chunks first.
+                todo.sort(key=span.__getitem__, reverse=True)
+                chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
+                # A single chunk is solved as one batch in this process: only
+                # one pool worker could run on it, and the fork costs more
+                # than the chunk's solve.
+                solve = map
+                if len(chunks) > 1:
+                    # Imported only here, so that a sweep that starts no pool
+                    # never loads multiprocessing (about 20 ms of import).
+                    from concurrent.futures import ProcessPoolExecutor
 
-    with ExitStack() as stack:
-        out = stack.enter_context(open(results_path, "a")) if results_path else None
-        if old_text and not old_text.endswith("\n"):
-            out.write("\n")
-        if workers > 1:
-            # Largest span first, enumeration order within a span (a stable
-            # sort).  This is the reduced span that exact_densities stacks
-            # by, so chunks make fewer, fuller stacks, and the pool gets its
-            # heaviest chunks first.
-            todo.sort(key=span.__getitem__, reverse=True)
-            chunks = [todo[i:i + POOL_CHUNKSIZE] for i in range(0, len(todo), POOL_CHUNKSIZE)]
-            # A single chunk is solved as one batch in this process: only
-            # one pool worker could run on it, and the fork costs more
-            # than the chunk's solve.  No chunk means no solver call.
-            solve = map
-            if len(chunks) > 1:
-                # Imported only here, so that a sweep that starts no pool
-                # never loads multiprocessing (about 20 ms of import).
-                from concurrent.futures import ProcessPoolExecutor
-
-                # The pool forks all its workers at the first submit, so it
-                # gets no more of them than there are chunks to solve.
-                pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-                stack.callback(pool.shutdown, cancel_futures=True)
-                solve = pool.map
-            solved = chain.from_iterable(solve(_densities, chunks, repeat(span_cap)))
-        else:
-            # One worker solves one family at a time in this process, so
-            # wrappers installed on this module's functions (tracing,
-            # tests) see every call.
-            solved = (
-                format_density(exact_density(parse_family(t), span_cap=span_cap).density) for t in todo
-            )
-        for i, (text, frac) in enumerate(zip(todo, solved), 1):
-            densities[text] = frac
-            if out:
-                out.write(f"{text}\t{frac}\n")
-                if i % checkpoint_every == 0:
-                    out.flush()
+                    # The pool forks all its workers at the first submit, so
+                    # it gets no more of them than there are chunks to solve.
+                    pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+                    stack.callback(pool.shutdown, cancel_futures=True)
+                    solve = pool.map
+                solved = chain.from_iterable(solve(_densities, chunks, repeat(span_cap)))
+            else:
+                # One worker solves one family at a time in this process, so
+                # wrappers installed on this module's functions (tracing,
+                # tests) see every call.
+                solved = (
+                    format_density(exact_density(parse_family(t), span_cap=span_cap).density)
+                    for t in todo
+                )
+            for i, (text, frac) in enumerate(zip(todo, solved), 1):
+                densities[text] = frac
+                if out:
+                    out.write(f"{text}\t{frac}\n")
+                    if i % checkpoint_every == 0:
+                        out.flush()
 
     fracs = [densities[t] for t in texts]
     # Distinct strings are distinct values: each is reduced.

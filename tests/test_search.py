@@ -432,9 +432,18 @@ def test_golden_table_resumes_without_solving(tmp_path, monkeypatch, workers):
     def no_rewrite(src, dst):
         raise AssertionError("a canonical file was rewritten")
 
+    def read_only_open(file, mode="r", *args, **kwargs):
+        # A results file the sweep may not write to, as chmod a-w makes it
+        # for a user other than root.
+        if set(mode) & set("wax+"):
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, mode, *args, **kwargs)
+
     monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
     monkeypatch.setattr(shippierce.search, "_densities", no_solve)
     monkeypatch.setattr(os, "replace", no_rewrite)
+    # The module global shadows the builtin open for compute_extremes.
+    monkeypatch.setattr(shippierce.search, "open", read_only_open, raising=False)
     goldens = sorted(GOLDEN_RESULTS.glob("type_*.txt"))
     assert len(goldens) == 15
     for golden in goldens:
