@@ -105,7 +105,6 @@ def cmd_search(args):
         span_cap=args.span_cap,
         workers=args.workers,
         results_path=args.out,
-        checkpoint_every=args.checkpoint_every,
     )
     payload = {
         "families": report.families_examined,
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-span", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="results file (resumable)")
-    p.add_argument("--checkpoint-every", type=int, default=500, help="flush --out every N new lines")
 
     mirror_help = "exact densities of {[0,a,a+b], mirror} for all b < a <= 5"
     leaf(sub, "mirror-triples", mirror_help, cmd_mirror_triples, span_cap=True)

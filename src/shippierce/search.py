@@ -25,6 +25,8 @@ nothing for writing but the rewrite of a non-canonical file.  It can
 keep a resumable results file: lines are appended in the order the
 families are solved, and at the end it holds one `family<TAB>p/q` line
 per family in lexicographic order, then a '#'-prefixed summary block.
+Each solved chunk's lines (at one worker, a chunk is one family) are
+written and flushed at once, so a kill loses only the chunks in flight.
 """
 
 from __future__ import annotations
@@ -216,7 +218,6 @@ def compute_extremes(
     span_cap: int = DEFAULT_SPAN_CAP,
     workers: int = 1,
     results_path: str | Path | None = None,
-    checkpoint_every: int = 500,
 ) -> SearchReport:
     """Exact max/min of the solver density over enumerate_families.
 
@@ -243,8 +244,9 @@ def compute_extremes(
     If results_path is given, valid densities already there are reused
     (see _load_results), and each newly solved family is appended as a
     `family<TAB>p/q` line in the order it was solved: enumeration order
-    at one worker, span order at more.  Lines are flushed every
-    checkpoint_every lines, so a killed sweep keeps its flushed lines.
+    at one worker, span order at more.  The lines of each solved chunk,
+    one family at one worker, are written and flushed at once, so a
+    killed sweep loses only the chunks still being solved.
     A last line cut off without its newline is closed first, so the
     first appended line is not glued onto it.  At the end the file is
     replaced by one in canonical order with a summary block, unless it
@@ -252,8 +254,6 @@ def compute_extremes(
     """
     if span_budget > span_cap:
         raise ValueError("span_budget exceeds span_cap")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     texts = list(enumerate_families(n, k, span_budget))
@@ -295,21 +295,21 @@ def compute_extremes(
                     pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
                     stack.callback(pool.shutdown, cancel_futures=True)
                     solve = pool.map
-                solved = chain.from_iterable(solve(_densities, chunks, repeat(span_cap)))
+                solved = solve(_densities, chunks, repeat(span_cap))
             else:
-                # One worker solves one family at a time in this process, so
-                # wrappers installed on this module's functions (tracing,
-                # tests) see every call.
+                # One worker solves one family at a time in this process, a
+                # chunk of its own, so wrappers installed on this module's
+                # functions (tracing, tests) see every call.
+                chunks = [[t] for t in todo]
                 solved = (
-                    format_density(exact_density(parse_family(t), span_cap=span_cap).density)
+                    [format_density(exact_density(parse_family(t), span_cap=span_cap).density)]
                     for t in todo
                 )
-            for i, (text, frac) in enumerate(zip(todo, solved), 1):
-                densities[text] = frac
+            for chunk, fracs in zip(chunks, solved):
+                densities.update(zip(chunk, fracs))
                 if out:
-                    out.write(f"{text}\t{frac}\n")
-                    if i % checkpoint_every == 0:
-                        out.flush()
+                    out.writelines(f"{text}\t{frac}\n" for text, frac in zip(chunk, fracs))
+                    out.flush()
 
     fracs = [densities[t] for t in texts]
     # Distinct strings are distinct values: each is reduced.

@@ -1,6 +1,9 @@
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -322,7 +325,7 @@ def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
 
     monkeypatch.setattr(shippierce.search, "exact_density", failing)
     with pytest.raises(RuntimeError):
-        compute_extremes(2, 3, 7, results_path=out, checkpoint_every=7)
+        compute_extremes(2, 3, 7, results_path=out)
     kept = [line.split("\t")[0] for line in out.read_text().splitlines()]
     assert kept == texts[:19]
 
@@ -331,6 +334,68 @@ def test_failed_sweep_keeps_finished_lines(tmp_path, monkeypatch):
     assert compute_extremes(2, 3, 7, results_path=out) == compute_extremes(
         2, 3, 7, results_path=clean
     )
+    assert out.read_bytes() == clean.read_bytes()
+
+
+# Run in a child process: the solver wrapper SIGKILLs the child on its
+# kill_at-th call, so no close, flush or finally clause runs.  At more than
+# one worker the pool is an in-process stand-in, so no pool worker is left
+# blocked on its queue when the child dies.
+KILLED_SWEEP = """
+import concurrent.futures, os, signal, sys
+import shippierce.search as search
+
+class InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    map = staticmethod(map)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+workers, path = int(sys.argv[1]), sys.argv[2]
+concurrent.futures.ProcessPoolExecutor = InProcessPool
+search.POOL_CHUNKSIZE = 8
+name, kill_at = ("exact_density", 20) if workers == 1 else ("_densities", 3)
+real, calls = getattr(search, name), 0
+
+def killing(*args, **kwargs):
+    global calls
+    calls += 1
+    if calls == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+
+setattr(search, name, killing)
+search.compute_extremes(2, 3, 7, workers=workers, results_path=path)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_sweep_keeps_every_solved_line(tmp_path, workers):
+    # Each solved chunk is flushed at once: at one worker the 19 families
+    # solved before the 20th call, at two the first two chunks of 8 in
+    # span order.
+    out = tmp_path / "results.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_SWEEP, str(workers), str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (-signal.SIGKILL, "")
+
+    clean = tmp_path / "clean.txt"
+    rep_clean = compute_extremes(2, 3, 7, results_path=clean)
+    lines = clean.read_text().splitlines(keepends=True)[:rep_clean.families_examined]
+    line = {ln.partition("\t")[0]: ln for ln in lines}
+    texts = [str(f) for f in enumerate_families(2, 3, 7)]
+    if workers > 1:
+        texts.sort(key=lambda t: parse_family(t).span, reverse=True)
+    kept = 19 if workers == 1 else 16
+    assert out.read_text() == "".join(line[t] for t in texts[:kept])
+
+    assert compute_extremes(2, 3, 7, results_path=out, workers=workers) == rep_clean
     assert out.read_bytes() == clean.read_bytes()
 
 
