@@ -18,13 +18,15 @@ A sweep takes one of two paths for the families left to solve.  At one
 worker it solves them in this process, one exact_density call per
 family, in enumeration order.  At more workers it sorts them by span,
 largest first, cuts them into chunks and solves each chunk with the
-batch entry point solver.exact_densities: across a process pool from
-two chunks up, and in this process when there is one chunk.  A sweep
-with nothing left to solve guards nothing, calls no solver and opens
-nothing for writing but the rewrite of a non-canonical file.  It can
-keep a resumable results file: lines are appended in the order the
-families are solved, and at the end it holds one `family<TAB>p/q` line
-per family in lexicographic order, then a '#'-prefixed summary block.
+solver's batch core, which exact_densities also calls, handing it each
+family's ships straight from its text, with no Family per family:
+across a process pool from two chunks up, and in this process when
+there is one chunk.  A sweep with nothing left to solve guards
+nothing, calls no solver and opens nothing for writing but the rewrite
+of a non-canonical file.  It can keep a resumable results file: lines
+are appended in the order the families are solved, and at the end it
+holds one `family<TAB>p/q` line per family in lexicographic order,
+then a '#'-prefixed summary block.
 Each solved chunk's lines (at one worker, a chunk is one family) are
 written and flushed at once, so a kill loses only the chunks in flight.
 """
@@ -43,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Family, Ship, format_density, parse_family
-from .solver import DEFAULT_SPAN_CAP, _guard_memory, exact_densities, exact_density
+from .solver import DEFAULT_SPAN_CAP, _guard_memory, _solve_rows, exact_densities, exact_density
 
 
 def ships_with_span(k: int, span_budget: int) -> list[Ship]:
@@ -162,18 +164,28 @@ def _text_span(text: str) -> int:
 
 
 def _densities(texts: list[str], span_cap: int) -> list[str]:
-    """exact_densities of the family texts of one chunk, as the `p/q`
-    strings format_density writes.  A sweep's families are drawn from few
-    ships, so each distinct ship text is parsed once.  A pool worker sends
-    its results back pickled, and strings pickle several times faster
-    than Fractions."""
-    ships: dict[str, Ship] = {}
+    """The densities of the family texts of one chunk, as the `p/q`
+    strings format_density writes.
+
+    Each text's ships, sorted and without repeats as parse_family leaves
+    them, go straight to the solver's batch core, with no Family per
+    text: sweep texts have offset gcd 1, so these are the reduced ships.
+    The core keeps exact_densities' rules (a single-cell ship gives 1,
+    and a span above span_cap raises SpanCapError) and certifies both
+    bounds, each stack's upper bounds in one pass.  A sweep's families
+    are drawn from few ships, so each distinct ship text is parsed once.
+    A pool worker sends its results back pickled, and strings pickle
+    several times faster than Fractions."""
+    offsets: dict[str, tuple[int, ...]] = {}
+    rows = []
     for text in texts:
+        ships = set()
         for ship in text.split(";"):
-            if ship not in ships:
-                ships[ship] = parse_family(ship).ships[0]
-    families = [Family(tuple(map(ships.__getitem__, text.split(";")))) for text in texts]
-    return [format_density(density) for density in exact_densities(families, span_cap=span_cap)]
+            if ship not in offsets:
+                offsets[ship] = parse_family(ship).ships[0].offsets
+            ships.add(offsets[ship])
+        rows.append(tuple(sorted(ships)))
+    return [format_density(density) for density in _solve_rows(rows, span_cap)]
 
 
 def _is_valid_density(frac: str, lowest: Fraction) -> bool:
@@ -235,7 +247,9 @@ def compute_extremes(
     enumeration order within a span, and cut into chunks of
     POOL_CHUNKSIZE, each solved as one batch by _densities: in a pool of
     at most one worker per chunk from two chunks up, and in this process
-    for a single chunk.  With nothing left to solve, no solver is
+    for a single chunk.  A chunk builds no Family per family, and the
+    upper bounds of each of its stacks of same-span families are
+    certified in one pass.  With nothing left to solve, no solver is
     called, no memory guard checked and nothing opened for writing, so
     a canonical complete file is only read.  Otherwise, a sweep whose
     largest span left trips the solver's memory guard is refused by it
@@ -276,7 +290,7 @@ def compute_extremes(
                 out.write("\n")
             if workers > 1:
                 # Largest span first, enumeration order within a span (a stable
-                # sort).  This is the reduced span that exact_densities stacks
+                # sort).  This is the reduced span that the batch core stacks
                 # by, so chunks make fewer, fuller stacks, and the pool gets its
                 # heaviest chunks first.
                 todo.sort(key=span.__getitem__, reverse=True)

@@ -33,15 +33,19 @@ Every cycle is kept in walk order, the order a pattern appends its
 cells, so the pattern is read straight off it and checked against the
 reduced family, which certifies the upper bound (see _verified_pattern).
 
-exact_densities is the batch entry point for callers that need only
-densities: sweeps at more than one worker, the mirrored-triple check
-and collinear planar reflections.  It solves families of one reduced
-span together, on a stack of their window masks.  Both entry points
-build masks with _window_masks, which makes one mask per distinct ship
-and ANDs it into the rows that hold it: the families of a sweep share
-most of their ships.  Both bounds are still certified for every family;
-the upper bound comes from the search's last cycle, so no tie-broken
-witness is extracted.
+The batch path is for callers that need only densities: sweeps at more
+than one worker, the mirrored-triple check and collinear planar
+reflections.  Its core, _solve_rows, takes rows of reduced ships, each
+ship its offsets tuple, and builds no Family per row: exact_densities
+hands it the ships of the families it reduces, and a sweep's chunks
+the ships of their texts.  It solves rows of one span together, on a
+stack of their window masks.  Both paths build masks with
+_window_masks, which makes one mask per distinct ship and ANDs it into
+the rows that hold it: the families of a sweep share most of their
+ships.  Both bounds are still certified for every family.  The upper
+bounds come from the search's last cycles, so no tie-broken witness is
+extracted, and each stack's are certified in one pass over its rows'
+walks (see _certify_walks).
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .core import Family, Ship, scale, scale_reduce
+from .core import Family, scale, scale_reduce
 from .verifier import Pattern1D, scale_pattern, verify_pattern_1d
 
 DEFAULT_SPAN_CAP = 22
@@ -135,7 +140,7 @@ class WindowGraph:
         stack of _window_masks, built once the memory guard passes."""
         s = family.span
         _guard_memory(s)
-        return cls(s, _window_masks(s, [family.ships])[0])
+        return cls(s, _window_masks(s, [tuple(ship.offsets for ship in family.ships)])[0])
 
 
 def _guard_memory(s: int) -> int:
@@ -151,10 +156,10 @@ def _guard_memory(s: int) -> int:
     return MEMORY_GUARD_BYTES // estimate
 
 
-def _window_masks(s: int, ship_lists: list[tuple[Ship, ...]]) -> np.ndarray:
-    """The (B, 2^s) stack of valid s-bit window masks, one row per list
-    of ships: the windows that hit every translate of the row's ships
-    lying inside them.
+def _window_masks(s: int, rows: list[tuple[tuple[int, ...], ...]]) -> np.ndarray:
+    """The (B, 2^s) stack of valid s-bit window masks, one per row of
+    ships, each ship its offsets tuple: the windows that hit every
+    translate of the row's ships lying inside them.
 
     With one length-2 axis per cell, oldest first, a mask's C-order
     flattening is the MSB-first word order, and each translate clears
@@ -162,19 +167,19 @@ def _window_masks(s: int, ship_lists: list[tuple[Ship, ...]]) -> np.ndarray:
     distinct ship's mask is built once and ANDed into the rows that
     hold it, as rows often share ships.
     """
-    holders: dict[Ship, list[int]] = {}
-    for row, ships in enumerate(ship_lists):
+    holders: dict[tuple[int, ...], list[int]] = {}
+    for row, ships in enumerate(rows):
         for ship in ships:
             holders.setdefault(ship, []).append(row)
-    valid = np.ones((len(ship_lists), 1 << s), dtype=bool)
-    for ship, rows in holders.items():
+    valid = np.ones((len(rows), 1 << s), dtype=bool)
+    for ship, holding in holders.items():
         cells = np.ones((2,) * s, dtype=bool)
-        for j in range(s - ship.span + 1):
+        for j in range(s - ship[-1]):
             block = [slice(None)] * s
-            for a in ship.offsets:
+            for a in ship:
                 block[j + a] = 0
             cells[tuple(block)] = False
-        valid[rows] &= cells.reshape(-1)
+        valid[holding] &= cells.reshape(-1)
     return valid
 
 
@@ -257,8 +262,10 @@ def _min_means(valid: np.ndarray):
     whatever any row's lambda does.  When a row's pointers close a cycle
     of states, that row's lambda drops to the cycle's mean, the cycle is
     reversed into a walk of windows, and the row's sweeps restart from
-    zero potentials.  The first sweep that changes no potential in any
-    row ends the search, and it always comes:
+    zero potentials.  The costs of all the rows whose lambda dropped at a
+    check are rebuilt together, by one _window_costs call.  The first
+    sweep that changes no potential in any row ends the search, and it
+    always comes:
 
     * every cycle among the parent pointers has negative weight, that
       is a mean below lambda, so lambda strictly decreases;
@@ -308,9 +315,7 @@ def _min_means(valid: np.ndarray):
     states = valid.shape[1] >> 1
     quarter = states >> 1
     rows = np.arange(len(valid))
-    p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
-    # Halves-major: cost[h, i, x] is the cost of window h * states + x.
-    cost = _window_costs(valid, p, q).reshape(len(valid), 2, states).transpose(1, 0, 2).copy()
+    cost = _window_costs(valid, means).copy()
     d = np.zeros((len(valid), states), dtype=np.int64)
     pick = np.zeros(d.shape, dtype=bool)  # which of a state's two parents, once d < 0
     sweep = 0
@@ -342,6 +347,7 @@ def _min_means(valid: np.ndarray):
             parent += np.arange(states) >> 1
             parent += states * np.arange(len(d))[:, None]
             parent = np.where(d < 0, parent, -1).ravel()
+            dropped = []
             for i, cycle in enumerate(_parent_cycle(parent, states)):
                 if cycle is None:
                     continue
@@ -353,11 +359,13 @@ def _min_means(valid: np.ndarray):
                 mean = Fraction(sum(w & 1 for w in windows), len(windows))
                 assert mean < means[r], "parent cycle is not negative"
                 means[r], cycles[r] = mean, windows
-                cost[:, i] = _window_costs(valid[r], mean.numerator, mean.denominator).reshape(
-                    2, states
-                )
-                d[i] = 0
-                pick[i] = False
+                dropped.append(i)
+            if dropped:
+                # One cost rebuild for all the rows whose lambda dropped.
+                moved = rows[dropped].tolist()
+                cost[:, dropped] = _window_costs(valid[moved], [means[r] for r in moved])
+                d[dropped] = 0
+                pick[dropped] = False
         done = ~improved.any(axis=1)
         if not done.any():
             continue
@@ -375,12 +383,14 @@ def _min_means(valid: np.ndarray):
         rows, cost, d, pick = rows[keep], cost.compress(keep, axis=1), d[keep], pick[keep]
 
 
-def _window_costs(valid: np.ndarray, p, q) -> np.ndarray:
-    """The integer weight q * (w & 1) - p of each valid window w of a
-    mask or mask stack at lambda = p/q, and 2 * _INF of each invalid one."""
+def _window_costs(valid: np.ndarray, means: list[Fraction]) -> np.ndarray:
+    """The integer weight q * (w & 1) - p of each valid window w of each
+    row of a (B, 2^s) mask stack at that row's lambda = p/q, and 2 * _INF
+    of each invalid one, as a halves-major (2, B, 2^(s-1)) view."""
+    p, q = np.array([mean.as_integer_ratio() for mean in means]).T[:, :, None]
     cost = np.where(valid, -p, 2 * _INF)
     cost[..., 1::2] += q
-    return cost
+    return cost.reshape(len(valid), 2, -1).transpose(1, 0, 2)
 
 
 def _buffer_beside(cost: np.ndarray) -> np.ndarray:
@@ -669,7 +679,7 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
         # A single-cell ship forces every cell to be shot.
         return SolveResult(Fraction(1), Pattern1D(1, {0}), 1, 1, 1, 1)
 
-    reduced, d = scale_reduce(f)
+    reduced, d = _scale_reduced(f)
     s = reduced.span
     if s > span_cap:
         raise SpanCapError(s, span_cap)
@@ -682,7 +692,7 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
             f"scaling the optimal pattern of period {len(cycle)} by {d} needs "
             f"~{estimate} bytes, above the guard of {MEMORY_GUARD_BYTES}"
         )
-    pattern = scale_pattern(_verified_pattern(cycle, density, reduced, d, f), d)
+    pattern = scale_pattern(_verified_pattern(cycle, density, reduced), d)
     if pattern.density != density:
         raise AssertionError("optimal cycle density mismatch")
 
@@ -699,49 +709,119 @@ def exact_density(f: Family, span_cap: int = DEFAULT_SPAN_CAP) -> SolveResult:
 def exact_densities(families: list[Family], span_cap: int = DEFAULT_SPAN_CAP) -> list[Fraction]:
     """exact_density(f).density for each f in families, solved in batches.
 
-    The families are scale-reduced and grouped by reduced span.  A
-    family whose own span trips the memory guard is refused before
-    anything is built.  Each group is cut into stacks of at most the
-    rows _guard_memory allows, and each stack is built by _window_masks,
-    so a row is the from_family mask of its reduced family, and solved
-    by _min_means.  Both bounds are certified on every family:
-    _min_means checks the potentials, and the pattern of the walk it
-    yields for the row is verified against the reduced family, which
-    scaled by d is checked to be the family itself.  So no scaled
-    pattern is built, and a family with a large offset gcd costs what
-    its reduced family does.  No witness is tie-broken.
-    search.compute_extremes at more than one worker,
-    search.check_mirror_triples and closed_forms.three_ship_reflection_2d
-    call it.
+    Each family is scale-reduced, and scale(reduced, d) is checked to be
+    the family itself.  The reduced families' ships are then solved by
+    the batch core _solve_rows, which certifies both bounds on every
+    reduced family and so on the family.  No scaled pattern is built, so
+    a family with a large offset gcd costs what its reduced family does,
+    and no witness is tie-broken.  search.check_mirror_triples and
+    closed_forms.three_ship_reflection_2d call it; a sweep's chunks go
+    to the core straight from their texts (search._densities).
     """
-    densities = [Fraction(1)] * len(families)  # a single-cell ship forces 1
-    groups: dict[int, list[tuple[int, Family]]] = {}
-    for i, f in enumerate(families):
-        if any(ship.size == 1 for ship in f.ships):
-            continue
-        reduced, d = scale_reduce(f)
-        s = reduced.span
-        if s > span_cap:
-            raise SpanCapError(s, span_cap)
-        groups.setdefault(s, []).append((i, reduced, d))
+    return _solve_rows(
+        [tuple(ship.offsets for ship in _scale_reduced(f)[0].ships) for f in families], span_cap
+    )
+
+
+def _solve_rows(rows: list[tuple[tuple[int, ...], ...]], span_cap: int) -> list[Fraction]:
+    """The certified minimum density of each row of reduced ships, each
+    ship its offsets tuple, solved in batches with no Family per row.
+
+    A row with a single-cell ship has density 1, as that ship forces
+    every cell to be shot.  The other rows are grouped by span.  A row
+    above span_cap is refused with SpanCapError, and a span whose single
+    row trips the memory guard with MemoryGuardError, before anything is
+    built.  Each group is cut into stacks of at most the rows
+    _guard_memory allows.  Each stack is built by _window_masks, so a row
+    is the from_family mask of its family, and solved by _min_means,
+    which certifies every row's lower bound.  The core keeps each row's
+    mean and walk, not its tight mask, and certifies the upper bounds of
+    the whole stack in one pass over the walks (see _certify_walks).
+    """
+    densities = [Fraction(1)] * len(rows)
+    groups: dict[int, list[int]] = {}
+    for i, ships in enumerate(rows):
+        if min(map(len, ships)) > 1:
+            s = 1 + max(ship[-1] for ship in ships)
+            if s > span_cap:
+                raise SpanCapError(s, span_cap)
+            groups.setdefault(s, []).append(i)
     sizes = {s: _guard_memory(s) for s in groups}
 
     for s, group in groups.items():
         for start in range(0, len(group), sizes[s]):
             batch = group[start:start + sizes[s]]
-            valid = _window_masks(s, [reduced.ships for _, reduced, _ in batch])
-            for row, mean, cycle, _ in _min_means(valid):
-                i, reduced, d = batch[row]
+            stack = [rows[i] for i in batch]
+            means, walks = [None] * len(batch), [None] * len(batch)
+            for row, mean, walk, _ in _min_means(_window_masks(s, stack)):
+                means[row], walks[row] = mean, walk
+            _certify_walks(stack, means, walks)
+            for i, mean in zip(batch, means):
                 densities[i] = mean
-                _verified_pattern(cycle, mean, reduced, d, families[i])
     return densities
 
 
-def _verified_pattern(walk: list[int], density: Fraction, reduced: Family, d: int, f: Family) -> Pattern1D:
-    """The upper-bound certificate: the pattern a closed walk appends has
-    the given density and pierces reduced, and scale(reduced, d) == f."""
+def _certify_walks(rows: list[tuple[tuple[int, ...], ...]], means: list[Fraction], walks: list[list[int]]):
+    """The upper-bound certificate of a stack, in one pass over all its
+    rows: the pattern of each row's closed walk, of period L = len(walk),
+    which shoots residue i when walk[(i + 1) % L] & 1, has the row's mean
+    as its density and hits every translate of every ship of the row.
+
+    It reads only the walks and the ships' offsets.  The translates are
+    laid out row by row, then ship by ship, then by anchor n in [0, L),
+    the one anchored at n covering the residues (n + a) % L of the
+    ship's offsets a.  So the first translate missed is the first failing
+    row's first failure as verify_pattern_1d reports it, (ship index, n).
+
+    Raises AssertionError if a row's density is not its mean, or if a
+    translate is missed.
+    """
+    lengths = np.array([len(walk) for walk in walks])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # shot[starts[r] + i] is the low bit of window (i + 1) % L of walk r.
+    after = np.arange(1, ends[-1] + 1)
+    after[ends - 1] = starts
+    shot = (np.fromiter(chain.from_iterable(walks), np.int64, ends[-1]) & 1)[after]
+    p, q = np.array([mean.as_integer_ratio() for mean in means]).T
+    if (np.add.reduceat(shot, starts) * q != p * lengths).any():
+        raise AssertionError("optimal cycle density mismatch")
+
+    ships = [ship for row in rows for ship in row]
+    ship_row = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    period = lengths[ship_row]
+    first = np.cumsum(period) - period  # the index of each ship's translate anchored at 0
+    cell_ship = np.repeat(np.arange(len(ships)), [len(ship) for ship in ships])
+    offset = np.fromiter(chain.from_iterable(ships), np.int64, len(cell_ship))
+    # One entry per cell of a ship and anchor of its translates: the cell
+    # the translate covers with that offset.
+    cell_period = period[cell_ship]
+    entry = np.repeat(np.arange(len(cell_ship)), cell_period)
+    anchor = np.arange(len(entry)) - (np.cumsum(cell_period) - cell_period)[entry]
+    owner = cell_ship[entry]
+    cell = starts[ship_row[owner]] + (anchor + offset[entry]) % period[owner]
+    hit = np.zeros(int(period.sum()), dtype=bool)
+    hit[(first[owner] + anchor)[shot[cell] == 1]] = True
+    if not hit.all():
+        t = int(hit.argmin())
+        j = int(np.searchsorted(first, t, side="right")) - 1
+        r = int(ship_row[j])
+        witness = (j - sum(map(len, rows[:r])), t - int(first[j]))
+        raise AssertionError(f"optimal pattern failed verification at {witness}")
+
+
+def _scale_reduced(f: Family) -> tuple[Family, int]:
+    """scale_reduce(f), checked: the reduced family scaled by d is f, so a
+    certificate on the reduced family holds for f."""
+    reduced, d = scale_reduce(f)
     if d > 1 and scale(reduced, d) != f:
         raise AssertionError(f"{f} is not its reduced family scaled by {d}")
+    return reduced, d
+
+
+def _verified_pattern(walk: list[int], density: Fraction, reduced: Family) -> Pattern1D:
+    """exact_density's upper-bound certificate: the pattern a closed walk
+    appends has the given density and pierces reduced."""
     length = len(walk)
     residues = {i for i in range(length) if walk[(i + 1) % length] & 1}
     pattern = Pattern1D(length, residues)

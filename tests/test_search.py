@@ -22,6 +22,7 @@ from shippierce.search import (
     raw_family_count,
     ships_with_span,
 )
+from shippierce.solver import SpanCapError
 
 
 def test_ships_with_span():
@@ -571,13 +572,22 @@ def test_one_chunk_is_solved_as_one_batch(tmp_path, monkeypatch):
 
 
 def test_chunk_families_equal_parsed_families(monkeypatch):
-    # _densities parses each distinct ship text of a chunk once; the
-    # families it hands to exact_densities are those parse_family gives.
+    # _densities parses each distinct ship text of a chunk once; the rows
+    # it hands to the solver's batch core are the ships parse_family gives.
     seen = []
-    monkeypatch.setattr(shippierce.search, "exact_densities", lambda fs, span_cap: seen.extend(fs) or [])
+    monkeypatch.setattr(shippierce.search, "_solve_rows", lambda rows, span_cap: seen.extend(rows) or [])
     texts = list(enumerate_families(3, 3, 7)) + ["0,2;0,1", "0,1,3;0,1,3;0,1,3"]
     shippierce.search._densities(texts, 7)
-    assert seen == [parse_family(t) for t in texts]
+    assert seen == [tuple(ship.offsets for ship in parse_family(t).ships) for t in texts]
+
+
+def test_chunk_keeps_the_single_cell_rule_and_the_span_cap():
+    # A single-cell ship forces density 1, and a text above the span cap
+    # is refused with its required span, as exact_densities does.
+    assert shippierce.search._densities(["0", "0;0,1"], 7) == ["1/1", "1/1"]
+    with pytest.raises(SpanCapError) as exc:
+        shippierce.search._densities(["0,1,3", "0,1;0,9"], 9)
+    assert (exc.value.required_span, exc.value.span_cap) == (10, 9)
 
 
 def test_pool_gets_no_more_workers_than_chunks(monkeypatch):
@@ -608,6 +618,7 @@ def test_over_guard_sweep_is_refused_before_any_solve(tmp_path, monkeypatch, wor
     monkeypatch.setattr(solver, "MEMORY_GUARD_BYTES", (1 << 8) * solver.BYTES_PER_WINDOW)
     monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
     monkeypatch.setattr(shippierce.search, "exact_densities", no_solve)
+    monkeypatch.setattr(shippierce.search, "_solve_rows", no_solve)
     out = tmp_path / "results.txt"
     with pytest.raises(solver.MemoryGuardError, match="solving span 9 needs"):
         compute_extremes(2, 2, 9, workers=workers, results_path=out)
@@ -653,6 +664,7 @@ def test_over_guard_resume_of_a_complete_file_solves_nothing(tmp_path, monkeypat
     guard_room_for_span_8(monkeypatch)
     monkeypatch.setattr(shippierce.search, "exact_density", no_solve)
     monkeypatch.setattr(shippierce.search, "exact_densities", no_solve)
+    monkeypatch.setattr(shippierce.search, "_solve_rows", no_solve)
     assert compute_extremes(2, 2, 9, workers=workers, results_path=out) == rep
     assert out.read_text() == before
 

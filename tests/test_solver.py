@@ -133,7 +133,7 @@ def test_window_nodes_match_brute_force():
         assert WindowGraph.from_family(f).nodes.tolist() == expected, text
         by_span.setdefault(s, []).append((f, expected))
     for s, group in by_span.items():
-        stack = solver._window_masks(s, [f.ships for f, _ in group])
+        stack = solver._window_masks(s, [tuple(ship.offsets for ship in f.ships) for f, _ in group])
         assert stack.shape == (len(group), 1 << s)
         for row, (f, expected) in zip(stack, group):
             assert np.flatnonzero(row).tolist() == expected, f
@@ -713,9 +713,119 @@ BOTH_ENTRY_POINTS = pytest.mark.parametrize(
 def test_upper_bound_certificate_fires_in_both_entry_points(monkeypatch, solve, name, fake, message):
     # A pattern that misses a ship translate, or whose density is not the
     # cycle's, is refused rather than returned.  0,2,6 is scaled by 2.
-    monkeypatch.setattr(solver, name, fake)
+    # exact_density's certificate is faked in the verifier or the pattern.
+    # The batch pass reads only walks and means, so its faults come with
+    # them: the walk 5:0,4 of 0,1,3 loses its shot at residue 0, which
+    # misses the translate anchored at 0, and its mean is that walk's
+    # density, or the row's own.
+    if solve is exact_density:
+        monkeypatch.setattr(solver, name, fake)
+    else:
+        broken = _dropping_the_first_shot(solver._min_means, own_mean=name == "verify_pattern_1d")
+        monkeypatch.setattr(solver, "_min_means", broken)
     with pytest.raises(AssertionError, match=re.escape(message)):
         solve(parse_family("0,2,6"))
+
+
+def _dropping_the_first_shot(min_means, own_mean):
+    """A _min_means that drops the shot at the smallest residue from every
+    walk it yields, and yields that walk's density as the mean if
+    own_mean, else the row's."""
+
+    def dropping(valid):
+        for row, mean, walk, tight in min_means(valid):
+            walk = list(walk)
+            i = next(i for i in range(len(walk)) if walk[(i + 1) % len(walk)] & 1)
+            walk[(i + 1) % len(walk)] ^= 1
+            if own_mean:
+                mean = Fraction(sum(w & 1 for w in walk), len(walk))
+            yield row, mean, walk, tight
+
+    return dropping
+
+
+def test_walk_certificate_equals_verify_pattern_1d():
+    # Seeded random stacks of 1-5 rows, each of 1-4 ships of 1-4 cells
+    # within span 9 and a random walk of 1-12 windows: the one-pass
+    # certificate accepts a stack exactly when verify_pattern_1d accepts
+    # every row's pattern at that density, and otherwise reports the
+    # first failing row's first miss.  A mean that is not its walk's
+    # density is refused too.
+    import random
+
+    rng = random.Random(36)
+    outcomes = {"pass": 0, "miss": 0}
+    for _ in range(400):
+        rows, means, walks, misses = [], [], [], []
+        for _ in range(rng.randint(1, 5)):
+            ships = set()
+            for _ in range(rng.randint(1, 4)):
+                size = rng.randint(1, 4)
+                ships.add((0, *sorted(rng.sample(range(1, 9), size - 1))))
+            shoot = rng.uniform(0.6, 1)
+            walk = [rng.randrange(512) << 1 | (rng.random() < shoot) for _ in range(rng.randint(1, 12))]
+            length = len(walk)
+            pattern = Pattern1D(length, {i for i in range(length) if walk[(i + 1) % length] & 1})
+            rows.append(tuple(sorted(ships)))
+            means.append(pattern.density)
+            walks.append(walk)
+            misses.append(verify_pattern_1d(pattern, Family(tuple(map(Ship, ships)))))
+        first = next((miss for miss in misses if miss is not None), None)
+        if first is None:
+            solver._certify_walks(rows, means, walks)
+            outcomes["pass"] += 1
+        else:
+            with pytest.raises(AssertionError, match=re.escape(f"optimal pattern failed verification at {first}")):
+                solver._certify_walks(rows, means, walks)
+            outcomes["miss"] += 1
+        r = rng.randrange(len(rows))
+        means[r] += Fraction(1, len(walks[r]) + 1)
+        with pytest.raises(AssertionError, match="optimal cycle density mismatch"):
+            solver._certify_walks(rows, means, walks)
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_walk_certificate_refuses_an_optimal_walk_missing_a_shot():
+    # The walks of a real stack pass.  Each walk with any one of its
+    # shots dropped has a density below the row's minimum, so its pattern
+    # misses a translate, and the pass refuses it at the walk's density
+    # and at the row's mean.
+    texts = ["0,1,6", "0,1,3;0,6", "0,1;0,6", "0,2;0,3;0,6", "0,1,2,6", "0,2,5,6;0,4", "0,1,3;0,2,6"]
+    rows = [tuple(ship.offsets for ship in parse_family(t).ships) for t in texts]
+    means, walks = [None] * len(rows), [None] * len(rows)
+    for row, mean, walk, _ in solver._min_means(solver._window_masks(7, rows)):
+        means[row], walks[row] = mean, walk
+    assert means == [exact_density(parse_family(t)).density for t in texts]
+    assert len({len(walk) for walk in walks}) > 2
+    solver._certify_walks(rows, means, walks)
+    for r, walk in enumerate(walks):
+        for j in [j for j, w in enumerate(walk) if w & 1]:
+            broken = walks[:r] + [walk[:j] + [walk[j] ^ 1] + walk[j + 1:]] + walks[r + 1:]
+            with pytest.raises(AssertionError, match="optimal cycle density mismatch"):
+                solver._certify_walks(rows, means, broken)
+            own = means[:r] + [means[r] - Fraction(1, len(walk))] + means[r + 1:]
+            with pytest.raises(AssertionError, match=re.escape("optimal pattern failed verification at (")):
+                solver._certify_walks(rows, own, broken)
+
+
+def test_one_cost_rebuild_per_check_for_every_row_whose_lambda_drops(monkeypatch):
+    # 0,1,9, twice, and 0,2,18, which reduces to it, share one span-10
+    # stack.  Lambda drops in all three rows at the same check, and their
+    # costs are rebuilt by one _window_costs call, after the one that
+    # builds the stack's.
+    calls = []
+    real = solver._window_costs
+
+    def recording(valid, means):
+        calls.append(len(valid))
+        return real(valid, means)
+
+    monkeypatch.setattr(solver, "_window_costs", recording)
+    f = parse_family("0,1,9")
+    expected = exact_density(f).density
+    calls.clear()
+    assert exact_densities([f, f, scale(f, 2)]) == [expected] * 3
+    assert calls == [3, 3]
 
 
 @BOTH_ENTRY_POINTS
